@@ -1,6 +1,7 @@
 #include "cluster/client.hpp"
 
 #include <condition_variable>
+#include <cstdlib>
 #include <cstring>
 #include <future>
 #include <utility>
@@ -8,6 +9,7 @@
 #include "fault/inject.hpp"
 #include "parallel/thread_pool.hpp"
 #include "net/http.hpp"
+#include "service/tile_service.hpp"
 
 namespace rrs::cluster {
 
@@ -476,8 +478,8 @@ void ClusterClient::discover_locked() {
         }
     }
     if (!have) {
-        throw IoError{"no cluster node reachable for scene discovery: " + errors,
-                      {"cluster", "client"}};
+        throw UnavailableError{"no cluster node reachable for scene discovery: " + errors,
+                               {"cluster", "client"}};
     }
     scenes_ = std::move(agreed);
     discovered_.store(true, std::memory_order_release);
@@ -491,33 +493,6 @@ const std::map<std::string, SceneInfo>& ClusterClient::scenes() {
         }
     }
     return scenes_;
-}
-
-std::pair<std::string, SceneInfo> ClusterClient::resolve_scene(
-    const std::string* name) {
-    const std::map<std::string, SceneInfo>& all = scenes();
-    if (name == nullptr) {
-        if (all.size() == 1) {
-            return *all.begin();
-        }
-        throw net::HttpError{400,
-                             "query parameter 'scene' is required when more "
-                             "than one scene is served"};
-    }
-    const auto it = all.find(*name);
-    if (it == all.end()) {
-        throw net::HttpError{404, "unknown scene '" + *name + "'"};
-    }
-    return *it;
-}
-
-std::size_t ClusterClient::owner_of(const std::string& scene, const TileKey& key) {
-    const std::map<std::string, SceneInfo>& all = scenes();
-    const auto it = all.find(scene);
-    if (it == all.end()) {
-        throw net::HttpError{404, "unknown scene '" + scene + "'"};
-    }
-    return map_.owner(it->second.fingerprint, key);
 }
 
 TilePtr ClusterClient::fetch_tile_f64(std::size_t node, const std::string& scene,
@@ -534,6 +509,13 @@ TilePtr ClusterClient::fetch_tile_f64(std::size_t node, const std::string& scene
     const net::ClientResponse resp = forward(node, target);
     if (cached_only && resp.status == 404) {
         return nullptr;  // the peer-fill miss: the peer simply has no copy
+    }
+    if (resp.status == 503) {  // alive but shedding or breaker-open
+        const std::string* retry = resp.header("retry-after");
+        throw NodeUnavailableError{
+            map_.node(node).name,
+            "node '" + map_.node(node).name + "' answered 503 for " + target,
+            retry != nullptr ? 1000 * std::atoi(retry->c_str()) : 0};
     }
     if (!resp.ok()) {
         throw net::HttpError{resp.status >= 400 ? resp.status : 502,
@@ -576,40 +558,7 @@ Array2D<double> ClusterClient::window(const std::string& scene, const Rect& regi
                                   info.fingerprint, info.shape, key);
         }));
     }
-    // Settle everything before reporting the first failure (get_many's
-    // contract): no fetch is left running against an abandoned window.
-    std::vector<TilePtr> tiles(keys.size());
-    std::exception_ptr first_failure;
-    for (std::size_t i = 0; i < futures.size(); ++i) {
-        try {
-            tiles[i] = futures[i].get();
-        } catch (...) {
-            if (!first_failure) {
-                first_failure = std::current_exception();
-            }
-        }
-    }
-    if (first_failure) {
-        std::rethrow_exception(first_failure);
-    }
-    // Stitch exactly like TileService::window — same overlap arithmetic,
-    // same doubles, so re-encoding reproduces single-node bytes.
-    Array2D<double> out(static_cast<std::size_t>(region.nx),
-                        static_cast<std::size_t>(region.ny));
-    for (std::size_t t = 0; t < keys.size(); ++t) {
-        const Rect tile = tile_rect(info.shape, keys[t]);
-        const Rect overlap = intersect(tile, region);
-        const Array2D<double>& data = *tiles[t];
-        for (std::int64_t y = overlap.y0; y < overlap.y1(); ++y) {
-            for (std::int64_t x = overlap.x0; x < overlap.x1(); ++x) {
-                out(static_cast<std::size_t>(x - region.x0),
-                    static_cast<std::size_t>(y - region.y0)) =
-                    data(static_cast<std::size_t>(x - tile.x0),
-                         static_cast<std::size_t>(y - tile.y0));
-            }
-        }
-    }
-    return out;
+    return stitch_window(info.shape, region, keys, settle_tiles(futures));
 }
 
 ClusterClient::FleetReady ClusterClient::ready() {

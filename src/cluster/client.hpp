@@ -20,11 +20,13 @@
 ///  * Scene discovery — the fleet's `/` index is fetched once (from every
 ///    reachable node; all responders must agree on names, shapes, and
 ///    fingerprints) so the client can compute tile ownership locally.
-///  * `window()` — fans the covering tiles out to their owners as `q=f64`
-///    requests (bit-exact wire encoding), stitches the doubles exactly the
-///    way TileService::window does, and so reproduces single-node
-///    generation byte-for-byte once re-encoded (the stitching contract,
-///    tests/test_cluster.cpp).
+///  * `fetch_tile_f64()` — one base tile from a node as bit-exact `q=f64`.
+///    The routing proxy (cluster/proxy.hpp) uses it, aimed at each tile's
+///    owner, as the base-tile source of its TileServices; peer fill
+///    (cluster/peer_fill.hpp) uses it with `cached=1`.
+///  * `window()` — fans the covering tiles out to their owners and
+///    stitches them with TileService's own settle_tiles/stitch_window, so
+///    it reproduces single-node generation byte-for-byte once re-encoded.
 ///  * `ready()` — probes every node's /readyz with a short deadline and
 ///    aggregates: the fleet is ready iff every node is.
 ///
@@ -47,6 +49,7 @@
 #include "grid/array2d.hpp"
 #include "grid/rect.hpp"
 #include "net/client.hpp"
+#include "net/server.hpp"
 #include "obs/metrics.hpp"
 #include "service/tile_cache.hpp"
 #include "service/tile_key.hpp"
@@ -57,25 +60,22 @@ class ThreadPool;
 
 namespace rrs::cluster {
 
-/// A node could not serve: its circuit breaker is open or the transport
-/// failed (connect/send/recv/deadline).  IS-A IoError; `node()` names the
-/// shard so callers degrade per-shard instead of failing the fleet.
-class NodeUnavailableError : public IoError {
+/// A node could not serve: its circuit breaker is open, the transport
+/// failed (connect/send/recv/deadline), or it answered 503.  IS-A
+/// UnavailableError (so HttpServer answers 503 + Retry-After); `node()`
+/// names the shard so callers degrade per-shard instead of failing the
+/// fleet.
+class NodeUnavailableError : public UnavailableError {
 public:
     NodeUnavailableError(std::string node, std::string message,
                          int retry_after_ms = 0)
-        : IoError(std::move(message), {"cluster", "client"}),
-          node_(std::move(node)),
-          retry_after_ms_(retry_after_ms) {}
+        : UnavailableError(std::move(message), {"cluster", "client"}, retry_after_ms),
+          node_(std::move(node)) {}
 
     const std::string& node() const noexcept { return node_; }
-    /// Hint for Retry-After (0 = none; breaker-open carries its remaining
-    /// open time).
-    int retry_after_ms() const noexcept { return retry_after_ms_; }
 
 private:
     std::string node_;
-    int retry_after_ms_;
 };
 
 /// One scene as the fleet's `/` index advertises it.
@@ -105,8 +105,8 @@ struct ClusterOptions {
     net::RetryPolicy retry;      ///< transport retry inside each connection
     /// Sticky keep-alive connections per node, and therefore the per-node
     /// forward concurrency.  Must not exceed the node's HttpServer worker
-    /// count — a thread-per-connection server parks sockets beyond that.
-    std::size_t connections_per_node = 8;
+    /// count — its admission cap, beyond which it sheds with 503.
+    std::size_t connections_per_node = net::HttpServer::Options{}.workers;
     int breaker_failures = 3;    ///< consecutive failures that open a node
     int breaker_open_ms = 1000;
     int breaker_half_open_successes = 1;
@@ -130,16 +130,9 @@ public:
     const ClusterOptions& options() const noexcept { return opt_; }
 
     /// Scene table from fleet discovery (first call probes the fleet; all
-    /// responding nodes must agree).  Throws IoError when no node responds,
-    /// ConfigError on disagreement.
+    /// responding nodes must agree).  Throws UnavailableError when no node
+    /// responds, ConfigError on disagreement.
     const std::map<std::string, SceneInfo>& scenes();
-
-    /// Resolve a scene the way the tile routes do: explicit name, or the
-    /// sole advertised scene.  HttpError(400/404) otherwise.
-    std::pair<std::string, SceneInfo> resolve_scene(const std::string* name);
-
-    /// Owning node index for a tile of `scene` (discovers on first use).
-    std::size_t owner_of(const std::string& scene, const TileKey& key);
 
     /// One GET to node `node`.  Returns whatever the node answered (any
     /// status — a 4xx/5xx response is the node speaking, not a transport
@@ -151,9 +144,9 @@ public:
     /// Fetch one tile from `node` as bit-exact f64 and decode it.
     /// `cached_only` adds `cached=1` (the peer-fill protocol: the node may
     /// only answer from RAM/L2, never generate) and returns nullptr on its
-    /// 404 miss.  Throws NodeUnavailableError on transport failure,
-    /// HttpError on an unexpected status, IoError on a fingerprint or size
-    /// mismatch.
+    /// 404 miss.  Throws NodeUnavailableError on transport failure or a 503
+    /// answer (carrying the node's Retry-After), HttpError on any other
+    /// unexpected status, IoError on a fingerprint or size mismatch.
     TilePtr fetch_tile_f64(std::size_t node, const std::string& scene,
                            std::uint64_t expected_fingerprint,
                            const TileShape& shape, const TileKey& key,
@@ -162,7 +155,7 @@ public:
     /// Assemble a lattice window by fanning covering tiles out to their
     /// owners (f64 wire) and stitching — bit-identical to the doubles a
     /// single-node TileService::window produces.  Throws the first tile
-    /// failure after every in-flight tile settles.
+    /// failure after every in-flight tile settles.  Uncached.
     Array2D<double> window(const std::string& scene, const Rect& region);
 
     struct NodeHealth {
@@ -183,6 +176,9 @@ public:
 
     /// Breaker state of one node (for tests and the proxy's index page).
     fault::CircuitBreaker::State breaker_state(std::size_t node) const;
+
+    /// The `fanout_threads` pool (also the proxy services' batch pool).
+    ThreadPool& fanout_pool() const noexcept { return *fanout_; }
 
 private:
     struct NodeState;

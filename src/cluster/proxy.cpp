@@ -1,275 +1,67 @@
 #include "cluster/proxy.hpp"
 
-#include <cstdint>
+#include <atomic>
 #include <cstdio>
-#include <list>
-#include <map>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <utility>
-#include <vector>
 
 #include "core/error.hpp"
 #include "net/http.hpp"
-#include "net/query.hpp"
 #include "net/tile_routes.hpp"
-#include "service/tile_key.hpp"
 
 namespace rrs::cluster {
 
 namespace {
 
-/// Last-known-good raw responses for per-shard degradation, LRU-evicted
-/// under a byte budget.  Keys are exact (scene, tile, encoding) strings —
-/// a stale replay must be the same bytes the shard last served, headers
-/// included, so the store keeps the whole passthrough response.
-class StaleBodyStore {
-public:
-    struct Entry {
-        std::string content_type;
-        std::string body;
-        std::vector<std::pair<std::string, std::string>> headers;
-    };
-
-    explicit StaleBodyStore(std::size_t byte_budget) : budget_(byte_budget) {}
-
-    void put(const std::string& key, Entry entry) {
-        if (budget_ == 0) {
-            return;
-        }
-        const std::size_t cost = entry_cost(key, entry);
-        if (cost > budget_) {
-            return;  // one oversized body must not flush the whole store
-        }
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = entries_.find(key);
-        if (it != entries_.end()) {
-            bytes_ -= entry_cost(key, it->second.first);
-            lru_.erase(it->second.second);
-            entries_.erase(it);
-        }
-        lru_.push_front(key);
-        entries_.emplace(key, std::make_pair(std::move(entry), lru_.begin()));
-        bytes_ += cost;
-        while (bytes_ > budget_ && !lru_.empty()) {
-            const std::string& victim = lru_.back();
-            auto vit = entries_.find(victim);
-            bytes_ -= entry_cost(victim, vit->second.first);
-            entries_.erase(vit);
-            lru_.pop_back();
-        }
-    }
-
-    bool get(const std::string& key, Entry& out) {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = entries_.find(key);
-        if (it == entries_.end()) {
-            return false;
-        }
-        lru_.splice(lru_.begin(), lru_, it->second.second);
-        out = it->second.first;
-        return true;
-    }
-
-private:
-    static std::size_t entry_cost(const std::string& key, const Entry& e) {
-        std::size_t cost = key.size() + e.content_type.size() + e.body.size() + 64;
-        for (const auto& [name, value] : e.headers) {
-            cost += name.size() + value.size() + 8;
-        }
-        return cost;
-    }
-
-    std::size_t budget_;
-    std::mutex mutex_;
-    std::list<std::string> lru_;
-    std::unordered_map<std::string,
-                       std::pair<Entry, std::list<std::string>::iterator>>
-        entries_;
-    std::size_t bytes_ = 0;
-};
-
 struct ProxyState {
     std::shared_ptr<ClusterClient> client;
     obs::MetricsRegistry* registry = nullptr;
-    ProxyOptions opt;
-    std::unique_ptr<StaleBodyStore> stale;
-    obs::Counter* forwarded = nullptr;      ///< cluster.proxy.forwarded
-    obs::Counter* not_modified = nullptr;   ///< cluster.proxy.not_modified
-    obs::Counter* stale_served = nullptr;   ///< cluster.proxy.stale_served
-    obs::Counter* unavailable = nullptr;    ///< cluster.proxy.unavailable
-    obs::Gauge* ready = nullptr;            ///< net.ready (set by HttpServer)
+    std::size_t cache_bytes = 0;
+    obs::Gauge* ready = nullptr;  ///< net.ready (set by HttpServer)
+
+    std::mutex build_mutex;
+    std::atomic<bool> built{false};
+    net::Router routes;  ///< the shards' tile routes; valid once `built`
+
+    /// The tile routes over one owner-fetching TileService per scene,
+    /// built on the first successful discovery.  Until then discovery
+    /// throws UnavailableError and the request is answered 503.
+    const net::Router& tile_routes() {
+        if (!built.load(std::memory_order_acquire)) {
+            std::lock_guard lock(build_mutex);
+            if (!built.load(std::memory_order_relaxed)) {
+                net::SceneServices services;
+                for (const auto& [name, info] : client->scenes()) {
+                    TileService::Options opt;
+                    opt.shape = info.shape;
+                    opt.cache_bytes = cache_bytes;
+                    opt.pool = &client->fanout_pool();
+                    TileSource owner_fetch = [client = client, name = name,
+                                              info = info](const TileKey& key) {
+                        return client->fetch_tile_f64(
+                            client->map().owner(info.fingerprint, key), name,
+                            info.fingerprint, info.shape, key);
+                    };
+                    services.emplace(name, std::make_shared<TileService>(
+                                               std::move(owner_fetch),
+                                               info.fingerprint, opt, nullptr));
+                }
+                net::TileRoutesOptions ropt;
+                // The per-node breakers already isolate shards; a scene
+                // breaker would let one dead shard close every shard's tiles.
+                ropt.breaker_failures = 0;
+                routes = net::make_tile_router(std::move(services), registry, ropt);
+                built.store(true, std::memory_order_release);
+            }
+        }
+        return routes;
+    }
 };
 
-std::string stale_key(const std::string& scene, const TileKey& key,
-                      net::WireEncoding enc) {
-    return scene + '|' + std::to_string(key.tx) + '|' + std::to_string(key.ty) +
-           '|' + std::to_string(key.z) + '|' + net::encoding_name(enc);
-}
-
-/// Re-frame a shard's response as our own: status and body verbatim,
-/// Content-Type into its slot, hop-managed headers (Content-Length,
-/// Connection) dropped — the server re-emits them for this hop.
-net::HttpResponse passthrough(const net::ClientResponse& upstream) {
-    net::HttpResponse resp;
-    resp.status = upstream.status;
-    resp.body = upstream.body;
-    for (const auto& [name, value] : upstream.headers) {
-        if (name == "content-length" || name == "connection") {
-            continue;
-        }
-        if (name == "content-type") {
-            resp.content_type = value;
-            continue;
-        }
-        resp.extra_headers.emplace_back(name, value);
-    }
-    return resp;
-}
-
-net::HttpResponse unavailable_response(const ProxyState& state,
-                                       const NodeUnavailableError& err) {
-    if (state.unavailable != nullptr) {
-        state.unavailable->add();
-    }
-    net::HttpResponse resp = net::error_response(
-        503, "shard '" + err.node() + "' unavailable: " + err.what());
-    const int secs = (err.retry_after_ms() + 999) / 1000;
-    resp.extra_headers.emplace_back("Retry-After",
-                                    std::to_string(secs > 0 ? secs : 1));
-    return resp;
-}
-
-/// Discovery failed (no shard answered the index probe): the whole fleet
-/// is unreachable, which for a proxy is a 503-and-retry, not a 500.
-net::HttpResponse fleet_unreachable(const ProxyState& state, const IoError& err) {
-    if (state.unavailable != nullptr) {
-        state.unavailable->add();
-    }
-    net::HttpResponse resp =
-        net::error_response(503, std::string("fleet unreachable: ") + err.what());
-    resp.extra_headers.emplace_back("Retry-After", "1");
-    return resp;
-}
-
-net::HttpResponse handle_tile(ProxyState& state, const net::HttpRequest& req) {
-    const auto [scene, info] = state.client->resolve_scene(req.query_param("scene"));
-    const net::TileQuery query = net::parse_tile_query(req);
-    const TileKey& key = query.key;
-    // Conditional GET answered here: the ETag is a pure function of the
-    // fleet-agreed fingerprint, so a match never needs the shard.
-    const std::string etag =
-        net::tile_etag(info.fingerprint, key, net::encoding_name(query.encoding));
-    if (const std::string* inm = req.header("if-none-match");
-        inm != nullptr && net::etag_matches(*inm, etag)) {
-        if (state.not_modified != nullptr) {
-            state.not_modified->add();
-        }
-        net::HttpResponse resp;
-        resp.status = 304;
-        resp.extra_headers.emplace_back("ETag", etag);
-        return resp;
-    }
-    const std::size_t owner = state.client->owner_of(scene, key);
-    const std::string cache_key = stale_key(scene, key, query.encoding);
-    try {
-        const net::ClientResponse upstream =
-            state.client->forward(owner, req.target);
-        if (state.forwarded != nullptr) {
-            state.forwarded->add();
-        }
-        net::HttpResponse resp = passthrough(upstream);
-        if (upstream.ok() && state.stale != nullptr) {
-            StaleBodyStore::Entry entry;
-            entry.content_type = resp.content_type;
-            entry.body = resp.body;
-            entry.headers = resp.extra_headers;
-            state.stale->put(cache_key, std::move(entry));
-        }
-        return resp;
-    } catch (const NodeUnavailableError& err) {
-        StaleBodyStore::Entry entry;
-        if (state.stale != nullptr && state.stale->get(cache_key, entry)) {
-            // Degrade per-shard: replay the owner's last good bytes.  Tiles
-            // are pure, so the body (and its ETag) is still the truth.
-            if (state.stale_served != nullptr) {
-                state.stale_served->add();
-            }
-            net::HttpResponse resp;
-            resp.status = 200;
-            resp.content_type = std::move(entry.content_type);
-            resp.body = std::move(entry.body);
-            resp.extra_headers = std::move(entry.headers);
-            resp.extra_headers.emplace_back("X-RRS-Stale", "1");
-            return resp;
-        }
-        return unavailable_response(state, err);
-    }
-}
-
-net::HttpResponse handle_window(ProxyState& state, const net::HttpRequest& req) {
-    const auto [scene, info] = state.client->resolve_scene(req.query_param("scene"));
-    const net::WindowQuery query = net::parse_window_query(req);
-    const Rect& region = query.region;
-    const auto cap = static_cast<std::uint64_t>(state.opt.max_window_points);
-    if (region.nx > 0 && region.ny > 0) {
-        const auto nx = static_cast<std::uint64_t>(region.nx);
-        const auto ny = static_cast<std::uint64_t>(region.ny);
-        if (nx > cap || ny > cap / nx) {
-            throw net::HttpError{413, "window of " + std::to_string(region.nx) +
-                                          "x" + std::to_string(region.ny) +
-                                          " points exceeds the cap of " +
-                                          std::to_string(cap) + " points"};
-        }
-    }
-    try {
-        const Array2D<double> window = state.client->window(scene, region);
-        return net::surface_response(window, region, scene, info.fingerprint,
-                                     query.encoding);
-    } catch (const NodeUnavailableError& err) {
-        // No stale fallback — same rule as the single-node route: windows
-        // are arbitrary shapes with no last-known-good body.
-        return unavailable_response(state, err);
-    }
-}
-
-net::HttpResponse handle_pyramid(ProxyState& state, const net::HttpRequest& req) {
-    const auto [scene, info] = state.client->resolve_scene(req.query_param("scene"));
-    (void)info;
-    const net::PyramidQuery query = net::parse_pyramid_query(req);
-    // One shard owns the top tile and can derive every level beneath it;
-    // splitting levels across shards would re-ship each child tile.
-    const std::size_t owner = state.client->owner_of(scene, query.top);
-    try {
-        const net::ClientResponse upstream =
-            state.client->forward(owner, req.target);
-        if (state.forwarded != nullptr) {
-            state.forwarded->add();
-        }
-        return passthrough(upstream);
-    } catch (const NodeUnavailableError& err) {
-        return unavailable_response(state, err);
-    }
-}
-
-net::HttpResponse handle_index(ProxyState& state) {
-    const std::map<std::string, SceneInfo>& scenes = state.client->scenes();
-    std::string body = "{\"scenes\":[";
-    bool first = true;
-    for (const auto& [name, info] : scenes) {
-        if (!first) {
-            body += ',';
-        }
-        first = false;
-        body += "{\"name\":\"" + net::json_escape(name) +
-                "\",\"tile_nx\":" + std::to_string(info.shape.nx) +
-                ",\"tile_ny\":" + std::to_string(info.shape.ny) +
-                ",\"fingerprint\":" + std::to_string(info.fingerprint) + "}";
-    }
-    const ShardMap& map = state.client->map();
-    body += "],\"cluster\":{\"epoch\":" + std::to_string(map.epoch()) +
-            ",\"nodes\":[";
+/// `{"epoch":E,"nodes":[{"name":..,"endpoint":..,"weight":..},...]}`.
+std::string fleet_json(const ShardMap& map) {
+    std::string body = "{\"epoch\":" + std::to_string(map.epoch()) + ",\"nodes\":[";
     for (std::size_t i = 0; i < map.size(); ++i) {
         const NodeSpec& spec = map.node(i);
         if (i > 0) {
@@ -281,17 +73,14 @@ net::HttpResponse handle_index(ProxyState& state) {
                 "\",\"endpoint\":\"" + net::json_escape(spec.endpoint()) +
                 "\",\"weight\":" + weight + "}";
     }
-    body +=
-        "]},\"endpoints\":[\"/\",\"/healthz\",\"/readyz\",\"/metrics\","
-        "\"/v1/tile\",\"/v1/window\",\"/v1/pyramid\"]}";
-    return net::HttpResponse::json(200, std::move(body));
+    return body + "]}";
 }
 
 /// Fleet readiness: this proxy must itself be accepting (net.ready) AND
 /// every shard's /readyz must answer 200.  The per-node detail rides in
 /// the body so operators see *which* shard is the problem.
 net::HttpResponse handle_readyz(ProxyState& state) {
-    if (state.ready != nullptr && state.ready->value() != 1) {
+    if (state.ready->value() != 1) {
         net::HttpResponse resp = net::HttpResponse::json(
             503, "{\"ready\":false,\"reason\":\"draining\"}");
         resp.extra_headers.emplace_back("Retry-After", "1");
@@ -322,7 +111,8 @@ net::HttpResponse handle_readyz(ProxyState& state) {
 }  // namespace
 
 net::Router make_cluster_router(std::shared_ptr<ClusterClient> client,
-                                obs::MetricsRegistry* registry, ProxyOptions opt) {
+                                obs::MetricsRegistry* registry,
+                                std::size_t cache_bytes) {
     if (client == nullptr) {
         throw ConfigError{"make_cluster_router requires a non-null client",
                           {"cluster", "proxy"}};
@@ -331,73 +121,33 @@ net::Router make_cluster_router(std::shared_ptr<ClusterClient> client,
     state->client = std::move(client);
     state->registry =
         registry != nullptr ? registry : &obs::MetricsRegistry::global();
-    state->opt = opt;
-    if (opt.stale_bytes > 0) {
-        state->stale = std::make_unique<StaleBodyStore>(opt.stale_bytes);
-    }
-    state->forwarded = &state->registry->counter("cluster.proxy.forwarded");
-    state->not_modified = &state->registry->counter("cluster.proxy.not_modified");
-    state->stale_served = &state->registry->counter("cluster.proxy.stale_served");
-    state->unavailable = &state->registry->counter("cluster.proxy.unavailable");
+    state->cache_bytes = cache_bytes;
     state->ready = &state->registry->gauge("net.ready");
 
-    // Discovery (and therefore shard traffic) is lazy: each handler wraps
-    // its first-contact IoError into a 503-and-retry instead of a 500 — a
-    // proxy in front of a fleet that is still booting must stay up.
+    // /healthz and /metrics answer before discovery: a proxy in front of a
+    // fleet that is still booting must stay up.
     net::Router router;
     router.add("/healthz", [](const net::HttpRequest&) {
         return net::HttpResponse::text(200, "ok\n");
     });
-    router.add("/readyz", [state](const net::HttpRequest&) {
-        try {
-            return handle_readyz(*state);
-        } catch (const IoError& err) {
-            return fleet_unreachable(*state, err);
-        }
-    });
     router.add("/metrics", [state](const net::HttpRequest&) {
         return net::HttpResponse::json(200, state->registry->to_json());
     });
-    router.add("/", [state](const net::HttpRequest&) {
-        try {
-            return handle_index(*state);
-        } catch (const IoError& err) {
-            return fleet_unreachable(*state, err);
-        }
+    router.add("/readyz",
+               [state](const net::HttpRequest&) { return handle_readyz(*state); });
+    router.add("/", [state](const net::HttpRequest& req) {
+        // The shards' own index document, with the fleet block spliced in
+        // before its closing brace.
+        net::HttpResponse resp = state->tile_routes().dispatch(req);
+        resp.body.insert(resp.body.size() - 1,
+                         ",\"cluster\":" + fleet_json(state->client->map()));
+        return resp;
     });
-    router.add("/v1/tile", [state](const net::HttpRequest& req) {
-        try {
-            return handle_tile(*state, req);
-        } catch (const NodeUnavailableError& err) {
-            return unavailable_response(*state, err);
-        } catch (const net::HttpError&) {
-            throw;
-        } catch (const IoError& err) {
-            return fleet_unreachable(*state, err);
-        }
-    });
-    router.add("/v1/window", [state](const net::HttpRequest& req) {
-        try {
-            return handle_window(*state, req);
-        } catch (const NodeUnavailableError& err) {
-            return unavailable_response(*state, err);
-        } catch (const net::HttpError&) {
-            throw;
-        } catch (const IoError& err) {
-            return fleet_unreachable(*state, err);
-        }
-    });
-    router.add("/v1/pyramid", [state](const net::HttpRequest& req) {
-        try {
-            return handle_pyramid(*state, req);
-        } catch (const NodeUnavailableError& err) {
-            return unavailable_response(*state, err);
-        } catch (const net::HttpError&) {
-            throw;
-        } catch (const IoError& err) {
-            return fleet_unreachable(*state, err);
-        }
-    });
+    for (const char* path : {"/tracez", "/v1/tile", "/v1/window", "/v1/pyramid"}) {
+        router.add(path, [state](const net::HttpRequest& req) {
+            return state->tile_routes().dispatch(req);
+        });
+    }
     return router;
 }
 

@@ -3,41 +3,42 @@
 /// \file proxy.hpp
 /// The cluster routing tier: `make_cluster_router` builds the Router an
 /// `rrsd --cluster TOPOLOGY` proxy serves (DESIGN.md §17).  The proxy is
-/// stateless — it owns no generator, no cache of doubles, no store; it owns
-/// a ClusterClient and maps the single-node tile API onto the fleet so
-/// existing clients (rrsquery, browsers, tests) need no changes:
+/// an ordinary tile server whose source is remote.  On the first
+/// successful fleet discovery it builds one TileService per advertised
+/// scene, with the fleet-agreed fingerprint and tile shape, whose base-tile
+/// source is ClusterClient::fetch_tile_f64 aimed at the tile's owner
+/// (rendezvous hashing over (fingerprint, key)).  Those services are served
+/// by the very routes a shard runs (net/tile_routes.hpp), so /v1/tile,
+/// /v1/window, /v1/pyramid, ETags, 304s, encodings and zoom derivation are
+/// one code path:
 ///
-///   GET /v1/tile     → forwarded verbatim to the tile's owning shard
-///                      (rendezvous hashing over (fingerprint, key)); the
-///                      response streams back byte-for-byte.  Conditional
-///                      GETs are answered 304 locally — the ETag is a pure
-///                      function of (fingerprint, key, encoding), so no
-///                      shard round-trip is needed.  When the owner is
-///                      unavailable (breaker open / transport down) the
-///                      proxy degrades per-shard: the last good response
-///                      body for that exact (scene, key, encoding) is
-///                      replayed with `X-RRS-Stale: 1`, else 503 +
-///                      Retry-After — other shards' tiles are unaffected.
-///   GET /v1/window   → covering tiles fan out to their owners as q=f64,
-///                      the doubles are stitched exactly like
-///                      TileService::window, and the result is re-encoded
-///                      with the same surface_response framing — the proxy
-///                      body is byte-identical to a single node serving the
-///                      same scene (the stitching contract,
-///                      tests/test_cluster.cpp).
-///   GET /v1/pyramid  → forwarded to the top tile's owner (one shard can
-///                      always derive a pyramid; splitting levels across
-///                      shards would re-ship every child).
-///   GET /readyz      → fleet aggregation: 200 iff every node's /readyz is
-///                      200, else 503 + per-node detail JSON.
-///   GET /            → fleet index: the agreed scene table plus a
-///                      `cluster` block (epoch, nodes, weights) — parseable
-///                      by parse_scene_index, so a ClusterClient can be
-///                      pointed at a proxy.
-///   GET /healthz, /metrics  → as on a single node.
+///   GET /v1/tile     RAM hit, or a coalesced owner fetch (z = 0); zoom
+///                    tiles derive from their base tiles at the proxy, so
+///                    every base tile is generated only by its owner.
+///                    Conditional GETs are answered 304 at the proxy.
+///   GET /v1/window   covering tiles fan out to their owners, stitched —
+///                    byte-identical to a single node (tests/test_cluster.cpp)
+///   GET /v1/pyramid  derived at the proxy from owner-fetched base tiles
+///   GET /healthz, /metrics, /tracez   as on a single node
 ///
-/// All handlers are thread-safe (ClusterClient is; the stale store is
-/// internally locked) and run on HttpServer workers.
+/// The proxy adds only two routes of its own:
+///
+///   GET /            the shards' scene index plus a `cluster` block
+///                    (epoch, nodes, weights) — still parseable by
+///                    parse_scene_index, so a ClusterClient can be pointed
+///                    at a proxy.
+///   GET /readyz      fleet aggregation: 200 iff every node's /readyz is
+///                    200, else 503 + per-node detail JSON.
+///
+/// Degradation is per shard: the routes run without a scene breaker
+/// (`breaker_failures = 0`) because ClusterClient's per-node breakers
+/// already isolate shards.  A dead shard's tiles still in the proxy's RAM
+/// cache — its last-known-good store — are served as ordinary hits; its
+/// cold tiles throw NodeUnavailableError, which HttpServer answers 503 +
+/// Retry-After.  Other shards' tiles are unaffected.  Until discovery
+/// first succeeds, every tile route answers 503 + Retry-After.
+///
+/// All handlers are thread-safe and run on HttpServer workers.
 
 #include <cstddef>
 #include <memory>
@@ -45,25 +46,17 @@
 #include "cluster/client.hpp"
 #include "net/router.hpp"
 #include "obs/metrics.hpp"
+#include "service/tile_service.hpp"
 
 namespace rrs::cluster {
 
-/// Limits and degradation knobs of the proxy tier.
-struct ProxyOptions {
-    /// Maximum nx*ny lattice points one /v1/window may ask for — mirrors
-    /// TileRoutesOptions::max_window_points so the proxy admission-checks
-    /// before fanning out.
-    std::size_t max_window_points = std::size_t{16} << 20;
-    /// Byte budget of the raw-response stale store backing per-shard
-    /// degradation (0 disables stale replay; unavailable shards then 503).
-    std::size_t stale_bytes = std::size_t{32} << 20;
-};
-
 /// Build the proxy route table over `client` (shared — handlers run
-/// concurrently).  `registry` backs /metrics; nullptr = the global
-/// registry.  Throws ConfigError on a null client.
-net::Router make_cluster_router(std::shared_ptr<ClusterClient> client,
-                                obs::MetricsRegistry* registry = nullptr,
-                                ProxyOptions opt = {});
+/// concurrently).  `registry` backs /metrics and the routes' `net.*`
+/// counters; nullptr = the global registry.  `cache_bytes` sizes each
+/// scene's RAM cache; batch fan-out runs on the client's fan-out pool.
+/// Throws ConfigError on a null client.
+net::Router make_cluster_router(
+    std::shared_ptr<ClusterClient> client, obs::MetricsRegistry* registry = nullptr,
+    std::size_t cache_bytes = TileService::Options{}.cache_bytes);
 
 }  // namespace rrs::cluster

@@ -23,6 +23,7 @@
 ///   ├── ConfigError  : std::invalid_argument — bad parameters / bad input
 ///   ├── NumericError : std::runtime_error    — NaN/Inf, energy loss, ...
 ///   ├── IoError      : std::runtime_error    — files, serialized state
+///   │   └── UnavailableError                  — cannot serve now; retry later
 ///   ├── DomainError  : std::domain_error     — math argument outside domain
 ///   ├── BoundsError  : std::out_of_range     — index / window out of range
 ///   └── StateError   : std::logic_error      — API misuse, invalid state
@@ -129,6 +130,27 @@ public:
           std::runtime_error(format(this->message(), this->context())) {}
 
     const char* what() const noexcept override { return std::runtime_error::what(); }
+};
+
+/// A dependency cannot serve right now — an open circuit breaker, an
+/// unreachable shard or fleet — and the same request may succeed later.
+/// IS-A IoError.  The HTTP server answers it with 503 + `Retry-After:
+/// retry_after_s()`.
+class UnavailableError : public IoError {
+public:
+    explicit UnavailableError(std::string message, ErrorContext context = {},
+                              int retry_after_ms = 0)
+        : IoError(std::move(message), std::move(context)),
+          retry_after_ms_(retry_after_ms) {}
+
+    /// The retry hint in whole seconds, rounded up, at least 1.
+    int retry_after_s() const noexcept {
+        const int secs = (retry_after_ms_ + 999) / 1000;
+        return secs > 0 ? secs : 1;
+    }
+
+private:
+    int retry_after_ms_;
 };
 
 /// Mathematical argument outside a function's domain (special functions,

@@ -256,6 +256,10 @@ void HttpServer::serve_connection(const std::shared_ptr<ConnSlot>& slot) {
                 }
             } catch (const HttpError& e) {
                 resp = error_response(e.status(), e.what());
+            } catch (const UnavailableError& e) {
+                resp = error_response(503, e.what());
+                resp.extra_headers.emplace_back("Retry-After",
+                                                std::to_string(e.retry_after_s()));
             } catch (const ConfigError& e) {
                 resp = error_response(400, e.what());
             } catch (const BoundsError& e) {

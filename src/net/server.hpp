@@ -20,6 +20,10 @@
 /// `503 Service Unavailable` + `Retry-After` and are closed — load is shed
 /// at the door within one write deadline instead of queueing unboundedly.
 ///
+/// Errors escaping a handler become statuses in one place: HttpError →
+/// its own status, UnavailableError → 503 + `Retry-After` (its hint),
+/// ConfigError/BoundsError → 400, anything else → 500.
+///
 /// Metrics (recorded into `Options::registry`, default the global one):
 ///   net.accepted       connections accepted (admitted or shed)
 ///   net.active         gauge: connections currently admitted

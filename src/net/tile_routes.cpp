@@ -10,7 +10,6 @@
 #include "net/http.hpp"
 #include "net/query.hpp"
 #include "obs/trace.hpp"
-#include "service/tile_cache.hpp"
 #include "service/tile_key.hpp"
 
 namespace rrs::net {
@@ -18,25 +17,18 @@ namespace rrs::net {
 namespace {
 
 /// Shared routing state, captured by every handler.  Structurally immutable
-/// after make_tile_router; the breakers and the stale store are internally
-/// synchronized, so concurrent handlers share them freely.
+/// after make_tile_router; the breakers are internally synchronized, so
+/// concurrent handlers share them freely.
 struct RouteState {
     SceneServices scenes;
     obs::MetricsRegistry* registry = nullptr;
     TileRoutesOptions opt;
     /// Per-scene generation breakers (empty when breaker_failures == 0).
     std::map<std::string, std::unique_ptr<fault::CircuitBreaker>> breakers;
-    /// Last-known-good tiles for degradation (null when stale_bytes == 0).
-    std::shared_ptr<TileCache> stale;
     obs::Counter* short_circuited = nullptr;  ///< net.breaker.short_circuited
     obs::Counter* stale_served = nullptr;     ///< net.stale_served
     obs::Counter* not_modified = nullptr;     ///< net.not_modified (304 answers)
     obs::Gauge* ready = nullptr;              ///< net.ready (set by HttpServer)
-
-    fault::CircuitBreaker* breaker_for(const std::string& scene) const {
-        const auto it = breakers.find(scene);
-        return it == breakers.end() ? nullptr : it->second.get();
-    }
 
     /// Resolve the scene a request addresses: explicit `scene=` parameter,
     /// or the sole registered scene when there is exactly one.
@@ -57,37 +49,36 @@ struct RouteState {
         }
         return {&it->first, it->second.get()};
     }
+
+    /// Run `serve` behind the scene's breaker.  An open breaker throws
+    /// UnavailableError (503 + Retry-After) without running it; a taxonomy
+    /// failure counts against the breaker, a request-shaped one (HttpError)
+    /// does not — the source is fine, the request was bad.
+    template <typename Serve>
+    auto guarded(const std::string& scene, Serve&& serve) const {
+        const auto it = breakers.find(scene);
+        if (it == breakers.end()) {
+            return serve();
+        }
+        fault::CircuitBreaker& breaker = *it->second;
+        if (!breaker.allow()) {
+            short_circuited->add();
+            throw UnavailableError{"circuit breaker open", {"net", "scene '" + scene + "'"},
+                                   breaker.open_remaining_ms()};
+        }
+        try {
+            auto out = serve();
+            breaker.record_success();
+            return out;
+        } catch (const HttpError&) {
+            breaker.record_success();
+            throw;
+        } catch (const Error&) {
+            breaker.record_failure();
+            throw;
+        }
+    }
 };
-
-/// A breaker-denied 503: tells the client when the next probe will run.
-HttpResponse short_circuit_response(const fault::CircuitBreaker& breaker) {
-    HttpResponse resp = error_response(503, "circuit breaker open");
-    const int secs = (breaker.open_remaining_ms() + 999) / 1000;
-    resp.extra_headers.emplace_back("Retry-After",
-                                    std::to_string(secs > 0 ? secs : 1));
-    return resp;
-}
-
-/// Serve the last known good tile, if the stale store holds one.
-/// Returns an empty optional-like pair (bool found, response).
-bool try_stale(const RouteState& state, const TileAddress& address,
-               const TileKey& key, const std::string& scene,
-               const TileService& service, WireEncoding enc, HttpResponse& out) {
-    if (state.stale == nullptr) {
-        return false;
-    }
-    const TilePtr tile = state.stale->find(address);
-    if (tile == nullptr) {
-        return false;
-    }
-    if (state.stale_served != nullptr) {
-        state.stale_served->add();
-    }
-    out = surface_response(*tile, tile_rect(service.shape(), key), scene,
-                           service.fingerprint(), enc);
-    out.extra_headers.emplace_back("X-RRS-Stale", "1");
-    return true;
-}
 
 /// 413 unless the base-lattice footprint behind `points` zoom-z samples
 /// fits the window cap — a cold zoom tile costs its whole footprint to
@@ -108,84 +99,55 @@ HttpResponse handle_tile(const RouteState& state, const HttpRequest& req) {
     const auto [scene, service] = state.resolve(req);
     const TileQuery query = parse_tile_query(req);
     const TileKey& key = query.key;
-    const std::int32_t z = key.z;
-    const WireEncoding enc = query.encoding;
     const auto tile_points =
         static_cast<std::uint64_t>(service->shape().nx * service->shape().ny);
-    check_footprint(tile_points, z, state.opt.max_window_points);
-    const TileAddress address{service->fingerprint(), key};
+    check_footprint(tile_points, key.z, state.opt.max_window_points);
     // Conditional GET first: the ETag is a pure function of the address, so
-    // a match answers 304 without touching cache, store, or generator.
+    // a match answers 304 without touching cache, store, or source.
     const std::string etag =
-        tile_etag(service->fingerprint(), key, encoding_name(enc));
+        tile_etag(service->fingerprint(), key, encoding_name(query.encoding));
     if (const std::string* inm = req.header("if-none-match");
         inm != nullptr && etag_matches(*inm, etag)) {
-        if (state.not_modified != nullptr) {
-            state.not_modified->add();
-        }
+        state.not_modified->add();
         HttpResponse resp;
         resp.status = 304;  // empty body; the validator rides in ETag
         resp.extra_headers.emplace_back("ETag", etag);
         return resp;
     }
+    TilePtr tile;
+    bool stale = false;
     if (query.cached_only) {
         // Only-if-cached (`cached=1`, DESIGN.md §17): answer from the RAM
         // cache or the L2 store, 404 otherwise — never generate.  Cluster
         // peer fill relies on this to terminate (a peek can never recurse
-        // into another peer), so the breaker/stale machinery is bypassed:
-        // a peek cannot fail the way a generation can.
-        const TilePtr tile = service->peek(key);
+        // into another peer), and a peek cannot fail the way a generation
+        // can, so the breaker is bypassed.
+        tile = service->peek(key);
         if (tile == nullptr) {
             throw HttpError{404, "tile not cached"};
         }
-        HttpResponse resp = surface_response(*tile, tile_rect(service->shape(), key),
-                                             *scene, service->fingerprint(), enc);
-        resp.extra_headers.emplace_back("ETag", etag);
-        return resp;
+    } else {
+        try {
+            tile = state.guarded(*scene, [&] { return service->get(key); });
+        } catch (const UnavailableError&) {
+            // Degrade: what RAM or L2 still holds is the truth (tiles are
+            // pure, so the ETag holds too), marked stale because the
+            // source behind it is not serving.
+            tile = service->peek(key);
+            if (tile == nullptr) {
+                throw;
+            }
+            stale = true;
+            state.stale_served->add();
+        }
     }
-    fault::CircuitBreaker* breaker = state.breaker_for(*scene);
-    HttpResponse stale;
-    if (breaker != nullptr && !breaker->allow()) {
-        if (state.short_circuited != nullptr) {
-            state.short_circuited->add();
-        }
-        if (try_stale(state, address, key, *scene, *service, enc, stale)) {
-            stale.extra_headers.emplace_back("ETag", etag);
-            return stale;
-        }
-        return short_circuit_response(*breaker);
+    HttpResponse resp = surface_response(*tile, tile_rect(service->shape(), key), *scene,
+                                         service->fingerprint(), query.encoding);
+    resp.extra_headers.emplace_back("ETag", etag);
+    if (stale) {
+        resp.extra_headers.emplace_back("X-RRS-Stale", "1");
     }
-    try {
-        const TilePtr tile = service->get(key);
-        if (breaker != nullptr) {
-            breaker->record_success();
-        }
-        if (state.stale != nullptr) {
-            state.stale->insert(address, tile);  // shares the payload, no copy
-        }
-        HttpResponse resp = surface_response(*tile, tile_rect(service->shape(), key),
-                                             *scene, service->fingerprint(), enc);
-        resp.extra_headers.emplace_back("ETag", etag);
-        return resp;
-    } catch (const HttpError&) {
-        // Request-shaped failure (bad key, ...): the generator is fine —
-        // release the breaker slot as a success and let the 4xx through.
-        if (breaker != nullptr) {
-            breaker->record_success();
-        }
-        throw;
-    } catch (const Error&) {
-        if (breaker != nullptr) {
-            breaker->record_failure();
-        }
-        if (try_stale(state, address, key, *scene, *service, enc, stale)) {
-            // Degrade: stale beats a 500.  Stale bytes for an address are
-            // the same bytes (tiles are pure), so the ETag still holds.
-            stale.extra_headers.emplace_back("ETag", etag);
-            return stale;
-        }
-        throw;
-    }
+    return resp;
 }
 
 HttpResponse handle_pyramid(const RouteState& state, const HttpRequest& req) {
@@ -211,50 +173,24 @@ HttpResponse handle_pyramid(const RouteState& state, const HttpRequest& req) {
         }
         level_tiles *= 4;
     }
-    fault::CircuitBreaker* breaker = state.breaker_for(*scene);
-    if (breaker != nullptr && !breaker->allow()) {
-        if (state.short_circuited != nullptr) {
-            state.short_circuited->add();
-        }
-        // No stale fallback — like windows, pyramids have no single
-        // last-known-good body.
-        return short_circuit_response(*breaker);
+    // No stale fallback: a pyramid has no single last-known-good body.
+    const auto tiles = state.guarded(*scene, [&] { return service->pyramid(top, min_z); });
+    std::string body;
+    body.reserve(total_points * (enc == WireEncoding::kF64 ? 8 : 4));
+    for (const auto& [key, tile] : tiles) {
+        body += enc == WireEncoding::kF64 ? encode_tile_f64(*tile) : encode_tile_f32(*tile);
     }
-    try {
-        const auto tiles = service->pyramid(top, min_z);
-        if (breaker != nullptr) {
-            breaker->record_success();
-        }
-        std::string body;
-        body.reserve(total_points * (enc == WireEncoding::kF64 ? 8 : 4));
-        for (const auto& [key, tile] : tiles) {
-            body += enc == WireEncoding::kF64 ? encode_tile_f64(*tile)
-                                              : encode_tile_f32(*tile);
-        }
-        HttpResponse resp = HttpResponse::octets(std::move(body));
-        resp.extra_headers.emplace_back("X-RRS-Encoding", encoding_name(enc));
-        resp.extra_headers.emplace_back("X-RRS-Nx",
-                                        std::to_string(service->shape().nx));
-        resp.extra_headers.emplace_back("X-RRS-Ny",
-                                        std::to_string(service->shape().ny));
-        resp.extra_headers.emplace_back("X-RRS-Zoom", std::to_string(z));
-        resp.extra_headers.emplace_back("X-RRS-MinZoom", std::to_string(min_z));
-        resp.extra_headers.emplace_back("X-RRS-Tiles", std::to_string(tiles.size()));
-        resp.extra_headers.emplace_back("X-RRS-Scene", *scene);
-        resp.extra_headers.emplace_back("X-RRS-Fingerprint",
-                                        std::to_string(service->fingerprint()));
-        return resp;
-    } catch (const HttpError&) {
-        if (breaker != nullptr) {
-            breaker->record_success();
-        }
-        throw;
-    } catch (const Error&) {
-        if (breaker != nullptr) {
-            breaker->record_failure();
-        }
-        throw;
-    }
+    HttpResponse resp = HttpResponse::octets(std::move(body));
+    resp.extra_headers.emplace_back("X-RRS-Encoding", encoding_name(enc));
+    resp.extra_headers.emplace_back("X-RRS-Nx", std::to_string(service->shape().nx));
+    resp.extra_headers.emplace_back("X-RRS-Ny", std::to_string(service->shape().ny));
+    resp.extra_headers.emplace_back("X-RRS-Zoom", std::to_string(z));
+    resp.extra_headers.emplace_back("X-RRS-MinZoom", std::to_string(min_z));
+    resp.extra_headers.emplace_back("X-RRS-Tiles", std::to_string(tiles.size()));
+    resp.extra_headers.emplace_back("X-RRS-Scene", *scene);
+    resp.extra_headers.emplace_back("X-RRS-Fingerprint",
+                                    std::to_string(service->fingerprint()));
+    return resp;
 }
 
 HttpResponse handle_window(const RouteState& state, const HttpRequest& req) {
@@ -272,33 +208,12 @@ HttpResponse handle_window(const RouteState& state, const HttpRequest& req) {
                                      std::to_string(cap) + " points"};
         }
     }
-    fault::CircuitBreaker* breaker = state.breaker_for(*scene);
-    if (breaker != nullptr && !breaker->allow()) {
-        if (state.short_circuited != nullptr) {
-            state.short_circuited->add();
-        }
-        // No stale fallback: windows are arbitrary shapes with no
-        // last-known-good body (file comment in tile_routes.hpp).
-        return short_circuit_response(*breaker);
-    }
-    try {
-        const Array2D<double> window = service->window(region);
-        if (breaker != nullptr) {
-            breaker->record_success();
-        }
-        return surface_response(window, region, *scene, service->fingerprint(),
-                                query.encoding);
-    } catch (const HttpError&) {
-        if (breaker != nullptr) {
-            breaker->record_success();
-        }
-        throw;
-    } catch (const Error&) {
-        if (breaker != nullptr) {
-            breaker->record_failure();
-        }
-        throw;
-    }
+    // No stale fallback: windows are arbitrary shapes with no
+    // last-known-good body.
+    const Array2D<double> window =
+        state.guarded(*scene, [&] { return service->window(region); });
+    return surface_response(window, region, *scene, service->fingerprint(),
+                            query.encoding);
 }
 
 HttpResponse handle_index(const RouteState& state) {
@@ -495,9 +410,6 @@ Router make_tile_router(SceneServices scenes, obs::MetricsRegistry* registry,
             st.breakers.emplace(name,
                                 std::make_unique<fault::CircuitBreaker>(bopt));
         }
-    }
-    if (opt.stale_bytes > 0) {
-        st.stale = std::make_shared<TileCache>(opt.stale_bytes);
     }
     auto state = std::make_shared<const RouteState>(std::move(st));
 

@@ -44,15 +44,21 @@
 /// (nx·ny·4^z points is what a cold zoom-z tile costs to derive), and
 /// pyramids against their total response points.
 ///
-/// Resilience (DESIGN.md §13): each scene's /v1/tile generation sits behind
-/// a fault::CircuitBreaker (gauge `net.breaker.state.<scene>`, trip counter
-/// `net.breaker.opened`, denial counter `net.breaker.short_circuited`), and
-/// every successfully served tile is remembered in a small *stale store*.
-/// On a generation failure or an open breaker the route degrades: the last
-/// known good tile is served with `X-RRS-Stale: 1` instead of a 500/503
-/// (counted in `net.stale_served`).  /v1/window shares the breaker but not
-/// the stale store — windows are unbounded in shape, so there is no "last
-/// known" body to fall back to.
+/// Resilience (DESIGN.md §13): each scene's tile, window and pyramid work
+/// runs as one guarded call behind a fault::CircuitBreaker (gauge
+/// `net.breaker.state.<scene>`, trip counter `net.breaker.opened`, denial
+/// counter `net.breaker.short_circuited`).  An open breaker throws
+/// UnavailableError, which HttpServer answers 503 + Retry-After — except
+/// that /v1/tile first degrades to TileService::peek: a tile RAM or the L2
+/// store still holds is served with `X-RRS-Stale: 1` (counted in
+/// `net.stale_served`).  The same fallback covers a source that is itself
+/// unavailable.  Windows and pyramids have no single last-known-good body,
+/// so they get the 503.
+///
+/// The same routes serve a shard and the cluster proxy (cluster/proxy.hpp):
+/// there the services' base-tile source is an owner fetch, and the proxy
+/// passes `breaker_failures = 0` because its per-node breakers already
+/// isolate shards.
 
 #include <cstddef>
 #include <cstdint>
@@ -83,9 +89,6 @@ struct TileRoutesOptions {
     int breaker_open_ms = 1000;
     /// Successful half-open probes required to re-close.
     int breaker_half_open_successes = 1;
-    /// Byte budget of the stale-tile store backing graceful degradation
-    /// (0 disables stale serving).
-    std::size_t stale_bytes = std::size_t{32} << 20;
 };
 
 /// Map of scene name -> the service answering for it.  Services are shared
@@ -131,8 +134,8 @@ std::string tile_etag(std::uint64_t fingerprint, const TileKey& key,
 
 /// Wrap an encoded surface window into the binary wire response served by
 /// /v1/tile and /v1/window — body per `enc`, dimensions/scene/fingerprint
-/// in X-RRS-* headers.  Exposed so the cluster proxy (cluster/proxy.hpp)
-/// re-encodes stitched windows with byte-identical framing.
+/// in X-RRS-* headers.  Exposed so in-process callers (tests, benches)
+/// can build the exact bytes a server answers.
 HttpResponse surface_response(const Array2D<double>& a, const Rect& r,
                               const std::string& scene, std::uint64_t fingerprint,
                               WireEncoding enc = WireEncoding::kF32);

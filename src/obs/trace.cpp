@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <memory>
 #include <mutex>
 #include <ostream>
@@ -172,6 +173,19 @@ std::vector<TraceEvent> trace_events() {
     return events;
 }
 
+namespace {
+
+/// `ns` as exact fixed-point microseconds with 3 decimals ("1234.005").
+std::string micros(std::uint64_t ns) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%llu.%03llu",
+                  static_cast<unsigned long long>(ns / 1000),
+                  static_cast<unsigned long long>(ns % 1000));
+    return buf;
+}
+
+}  // namespace
+
 void write_chrome_trace(std::ostream& out) {
     const std::vector<TraceEvent> events = trace_events();
     out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
@@ -181,11 +195,10 @@ void write_chrome_trace(std::ostream& out) {
             out << ',';
         }
         first = false;
-        // Complete ('X') events; Chrome wants µs.  Durations keep ns
-        // resolution as fractional µs.
+        // Complete ('X') events; Chrome wants µs.  Start and duration
+        // keep ns resolution as fixed-point µs at any uptime.
         out << "{\"name\":\"" << e.name << "\",\"cat\":\"rrs\",\"ph\":\"X\",\"ts\":"
-            << static_cast<double>(e.t0_ns) / 1000.0
-            << ",\"dur\":" << static_cast<double>(e.t1_ns - e.t0_ns) / 1000.0
+            << micros(e.t0_ns) << ",\"dur\":" << micros(e.t1_ns - e.t0_ns)
             << ",\"pid\":1,\"tid\":" << e.tid << '}';
     }
     out << "]}\n";

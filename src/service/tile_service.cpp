@@ -60,17 +60,76 @@ std::uint64_t next_private_fingerprint() {
     return id == 0 ? 1 : id;
 }
 
+/// The local base-tile source over a generator.  Only local generation
+/// passes the `tile.generate` fault site and span: a proxy's owner fetch
+/// must not sleep or fail where a shard's generator would.
+TileSource local_source(std::function<Array2D<double>(const Rect&)> generate,
+                        TileShape shape) {
+    RRS_CHECK(static_cast<bool>(generate), "TileService", "generate callable is empty");
+    return [generate = std::move(generate), shape](const TileKey& key) -> TilePtr {
+        RRS_TRACE_SPAN("tile.generate");
+        if (fault::inject("tile.generate")) {
+            throw NumericError{"injected generation fault", {"fault", "tile.generate"}};
+        }
+        return std::make_shared<const Array2D<double>>(generate(tile_rect(shape, key)));
+    };
+}
+
 }  // namespace
+
+std::vector<TilePtr> settle_tiles(std::vector<std::future<TilePtr>>& futures) {
+    std::vector<TilePtr> out(futures.size());
+    std::exception_ptr first_failure;
+    for (std::size_t i = 0; i < futures.size(); ++i) {
+        try {
+            out[i] = futures[i].get();
+        } catch (...) {
+            if (!first_failure) {
+                first_failure = std::current_exception();
+            }
+        }
+    }
+    if (first_failure) {
+        std::rethrow_exception(first_failure);
+    }
+    return out;
+}
+
+Array2D<double> stitch_window(const TileShape& shape, const Rect& region,
+                              const std::vector<TileKey>& keys,
+                              const std::vector<TilePtr>& tiles) {
+    Array2D<double> out(static_cast<std::size_t>(region.nx),
+                        static_cast<std::size_t>(region.ny));
+    for (std::size_t t = 0; t < keys.size(); ++t) {
+        const Rect tile = tile_rect(shape, keys[t]);
+        const Rect overlap = intersect(tile, region);
+        const Array2D<double>& data = *tiles[t];
+        for (std::int64_t y = overlap.y0; y < overlap.y1(); ++y) {
+            for (std::int64_t x = overlap.x0; x < overlap.x1(); ++x) {
+                out(static_cast<std::size_t>(x - region.x0),
+                    static_cast<std::size_t>(y - region.y0)) =
+                    data(static_cast<std::size_t>(x - tile.x0),
+                         static_cast<std::size_t>(y - tile.y0));
+            }
+        }
+    }
+    return out;
+}
 
 TileService::TileService(std::function<Array2D<double>(const Rect&)> generate,
                          std::uint64_t fingerprint, Options opt,
                          std::shared_ptr<TileCache> cache)
-    : generate_(std::move(generate)),
+    : TileService(local_source(std::move(generate), opt.shape), fingerprint, opt,
+                  std::move(cache)) {}
+
+TileService::TileService(TileSource source, std::uint64_t fingerprint, Options opt,
+                         std::shared_ptr<TileCache> cache)
+    : source_(std::move(source)),
       fingerprint_(fingerprint != 0 ? fingerprint : next_private_fingerprint()),
       opt_(opt),
       cache_(std::move(cache)) {
     check_tile_shape(opt_.shape);
-    RRS_CHECK(static_cast<bool>(generate_), "TileService", "generate callable is empty");
+    RRS_CHECK(static_cast<bool>(source_), "TileService", "tile source is empty");
     if (!cache_) {
         cache_ = std::make_shared<TileCache>(opt_.cache_bytes, opt_.cache_shards);
     }
@@ -174,12 +233,7 @@ TilePtr TileService::generate_or_join(const TileKey& key) {
             if (!tile) {
                 metrics_.record_generation();
                 GlobalTileCounters::get().generations.add();
-                RRS_TRACE_SPAN("tile.generate");
-                if (fault::inject("tile.generate")) {
-                    throw NumericError{"injected generation fault",
-                                       {"fault", "tile.generate"}};
-                }
-                tile = std::make_shared<const Array2D<double>>(generate_tile(key));
+                tile = generate_tile(key);
                 if (opt_.store) {
                     // Write-through; persistence failures are swallowed —
                     // the tile is still served, the store stays an
@@ -217,9 +271,9 @@ TilePtr TileService::generate_or_join(const TileKey& key) {
     return future.get();  // rethrows the leader's exception for every waiter
 }
 
-Array2D<double> TileService::generate_tile(const TileKey& key) {
+TilePtr TileService::generate_tile(const TileKey& key) {
     if (key.z == 0) {
-        return generate_(tile_rect(opt_.shape, key));
+        return source_(key);
     }
     // Derive from the four z−1 children (decimation by 2 of the assembled
     // child block).  get() runs on the calling thread — no pool submission —
@@ -244,7 +298,7 @@ Array2D<double> TileService::generate_tile(const TileKey& key) {
             out(px, py) = (*children[cx + 2 * cy])(jx, jy);
         }
     }
-    return out;
+    return std::make_shared<const Array2D<double>>(std::move(out));
 }
 
 std::vector<std::pair<TileKey, TilePtr>> TileService::pyramid(const TileKey& top,
@@ -303,22 +357,7 @@ std::vector<TilePtr> TileService::get_many(const std::vector<TileKey>& keys) {
     for (const TileKey& key : keys) {
         futures.push_back(workers.submit([this, key] { return get(key); }));
     }
-    // Settle every tile before reporting the first failure: no task is left
-    // running against a batch the caller has already abandoned.
-    std::exception_ptr first_failure;
-    for (std::size_t i = 0; i < futures.size(); ++i) {
-        try {
-            out[i] = futures[i].get();
-        } catch (...) {
-            if (!first_failure) {
-                first_failure = std::current_exception();
-            }
-        }
-    }
-    if (first_failure) {
-        std::rethrow_exception(first_failure);
-    }
-    return out;
+    return settle_tiles(futures);
 }
 
 Array2D<double> TileService::window(const Rect& region) {
@@ -335,23 +374,7 @@ Array2D<double> TileService::window(const Rect& region) {
     (void)checked_mul(region.nx, region.ny, "region.nx * region.ny",
                       {"TileService", "window"});
     const std::vector<TileKey> keys = covering_tiles(opt_.shape, region);
-    const std::vector<TilePtr> tiles = get_many(keys);
-    Array2D<double> out(static_cast<std::size_t>(region.nx),
-                        static_cast<std::size_t>(region.ny));
-    for (std::size_t t = 0; t < keys.size(); ++t) {
-        const Rect tile = tile_rect(opt_.shape, keys[t]);
-        const Rect overlap = intersect(tile, region);
-        const Array2D<double>& data = *tiles[t];
-        for (std::int64_t y = overlap.y0; y < overlap.y1(); ++y) {
-            for (std::int64_t x = overlap.x0; x < overlap.x1(); ++x) {
-                out(static_cast<std::size_t>(x - region.x0),
-                    static_cast<std::size_t>(y - region.y0)) =
-                    data(static_cast<std::size_t>(x - tile.x0),
-                         static_cast<std::size_t>(y - tile.y0));
-            }
-        }
-    }
-    return out;
+    return stitch_window(opt_.shape, region, keys, get_many(keys));
 }
 
 MetricsSnapshot TileService::metrics() const {

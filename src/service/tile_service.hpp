@@ -1,7 +1,8 @@
 #pragma once
 
 /// \file tile_service.hpp
-/// Concurrent random-access front end over any `generate(Rect)` generator.
+/// Concurrent random-access front end over any `generate(Rect)` generator,
+/// or over any other source of base tiles (a shard fetch on the proxy).
 ///
 /// Turns "run a generator once" into "serve surface tiles on demand, map-tile
 /// style": clients ask for TileKeys (or whole windows) in any order, from
@@ -39,6 +40,16 @@
 /// swallowed (counted): persistence is an optimisation, not a correctness
 /// dependency.
 ///
+/// Base-tile source: a base (z = 0) tile that no tier holds comes from the
+/// service's TileSource.  A service over a generator wraps it as the local
+/// source, which alone passes the `tile.generate` fault site and trace
+/// span.  The cluster proxy (cluster/proxy.hpp) passes an owner fetch
+/// instead: a tile is a pure function of (fingerprint, key), so a fetched
+/// tile is the same bytes a local generation would produce, and every
+/// layer above the source (cache, coalescing, zoom derivation, windows,
+/// pyramids) is the same code on a shard and on the proxy.  Miss chain:
+/// RAM → L2 → remote fill → source (z = 0) or derivation (z > 0).
+///
 /// Remote fill (cluster/peer_fill.hpp): when Options::remote_fill is set
 /// (or installed via set_remote_fill before serving), the miss-leader path
 /// tries it after the L2 lookup and before generating — a cluster node can
@@ -74,7 +85,24 @@
 
 namespace rrs {
 
-/// Thread-safe tile server over one generator; see file comment.
+/// Base-tile source: the payload of one z = 0 tile (file comment).  Must
+/// return a tile of the service's shape, never null; may throw.
+using TileSource = std::function<TilePtr(const TileKey&)>;
+
+/// Wait for every future, then rethrow the first failure: a batch never
+/// leaves work running against a caller that has already given up.
+/// Results align with `futures`.
+std::vector<TilePtr> settle_tiles(std::vector<std::future<TilePtr>>& futures);
+
+/// Cut `region` out of `tiles`, aligned with `keys` ==
+/// covering_tiles(shape, region) — the one stitch every window path uses,
+/// so a window assembled from any mix of cached, fetched and generated
+/// tiles is the same doubles.
+Array2D<double> stitch_window(const TileShape& shape, const Rect& region,
+                              const std::vector<TileKey>& keys,
+                              const std::vector<TilePtr>& tiles);
+
+/// Thread-safe tile server over one tile source; see file comment.
 class TileService {
 public:
     struct Options {
@@ -104,10 +132,16 @@ public:
         : TileService([&gen](const Rect& r) { return gen.generate(r); },
                       detail::generator_fingerprint(gen), opt, std::move(cache)) {}
 
-    /// Type-erased core constructor (also usable directly with a lambda;
-    /// pass fingerprint 0 for "unfingerprinted").
+    /// Type-erased generator constructor (also usable directly with a
+    /// lambda; pass fingerprint 0 for "unfingerprinted").  The generator
+    /// becomes the local base-tile source.
     TileService(std::function<Array2D<double>(const Rect&)> generate,
                 std::uint64_t fingerprint, Options opt,
+                std::shared_ptr<TileCache> cache);
+
+    /// Core constructor over any base-tile source (file comment), e.g. an
+    /// owner fetch whose fingerprint is the fleet-agreed one.
+    TileService(TileSource source, std::uint64_t fingerprint, Options opt,
                 std::shared_ptr<TileCache> cache);
 
     /// Build a service that OWNS its generator (shared ownership captured in
@@ -188,15 +222,15 @@ private:
     /// one.
     TilePtr generate_or_join(const TileKey& key);
 
-    /// Produce the payload for `key`: base tiles call the generator; zoom
+    /// Produce the payload for `key`: base tiles call the source; zoom
     /// tiles recurse through get() on their children and decimate.
-    Array2D<double> generate_tile(const TileKey& key);
+    TilePtr generate_tile(const TileKey& key);
 
     ThreadPool& pool() const noexcept {
         return opt_.pool != nullptr ? *opt_.pool : ThreadPool::shared();
     }
 
-    std::function<Array2D<double>(const Rect&)> generate_;
+    TileSource source_;
     std::uint64_t fingerprint_ = 0;
     Options opt_;
     std::shared_ptr<TileCache> cache_;

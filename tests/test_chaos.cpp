@@ -7,8 +7,8 @@
 //  * the per-scene circuit breaker opens after consecutive generation
 //    failures, short-circuits with 503 + Retry-After, half-open probes, and
 //    re-closes once generation heals,
-//  * graceful degradation serves the last known good tile (X-RRS-Stale: 1)
-//    instead of a 500 when generation fails,
+//  * graceful degradation: under an open breaker a tile RAM or L2 still
+//    holds is served marked X-RRS-Stale: 1, a cold tile gets 503,
 //  * /healthz (liveness) stays 200 while /readyz (readiness) degrades, and
 //  * the metrics accounting identity
 //      net.requests == net.status_2xx + net.status_4xx + net.status_5xx
@@ -174,7 +174,6 @@ TEST_F(ChaosServerTest, BreakerOpensProbesAndRecloses) {
     TileRoutesOptions ropt;
     ropt.breaker_failures = 3;
     ropt.breaker_open_ms = 200;
-    ropt.stale_bytes = 0;  // failures must surface, not degrade to stale
     start_server(ropt);
 
     HttpClient client("127.0.0.1", server_->port());
@@ -219,7 +218,8 @@ TEST_F(ChaosServerTest, BreakerOpensProbesAndRecloses) {
 
 TEST_F(ChaosServerTest, StaleTileServedWhenGenerationFails) {
     TileRoutesOptions ropt;
-    ropt.breaker_failures = 0;  // isolate the stale path from the breaker
+    ropt.breaker_failures = 2;
+    ropt.breaker_open_ms = 500;  // open for every degraded request below
     start_server(ropt);
 
     HttpClient client("127.0.0.1", server_->port());
@@ -227,11 +227,15 @@ TEST_F(ChaosServerTest, StaleTileServedWhenGenerationFails) {
     ASSERT_EQ(fresh.status, 200);
     EXPECT_EQ(fresh.header("x-rrs-stale"), nullptr);
 
-    // Evict the primary cache so the next request must regenerate — which
-    // the armed plan makes fail.  The stale store is untouched by clear().
-    service_->cache()->clear();
+    // Two failed generations of cold tiles open the scene breaker.
     fault::arm(fault::FaultPlan::parse("tile.generate=error"));
+    EXPECT_EQ(client.get(tile_path(200, 200)).status, 500);
+    EXPECT_EQ(client.get(tile_path(201, 200)).status, 500);
+    ASSERT_EQ(gauge("net.breaker.state.scene"),
+              static_cast<std::int64_t>(fault::CircuitBreaker::State::kOpen));
 
+    // Open breaker: the warm tile is still answered from the cache, marked
+    // stale, with the same bytes.
     const ClientResponse degraded = client.get(tile_path(0, 0));
     ASSERT_EQ(degraded.status, 200) << degraded.body;
     ASSERT_NE(degraded.header("x-rrs-stale"), nullptr);
@@ -239,17 +243,23 @@ TEST_F(ChaosServerTest, StaleTileServedWhenGenerationFails) {
     EXPECT_EQ(degraded.body, fresh.body);
     EXPECT_GE(counter("net.stale_served"), 1u);
 
-    // A tile never served before has no last-known-good: the failure must
-    // surface as a 500, not invent a body.
-    const ClientResponse cold = client.get(tile_path(200, 200));
-    EXPECT_EQ(cold.status, 500);
+    // A tile neither RAM nor L2 holds has no last-known-good: 503 +
+    // Retry-After, never an invented body.
+    const ClientResponse cold = client.get(tile_path(202, 200));
+    EXPECT_EQ(cold.status, 503);
+    EXPECT_NE(cold.header("retry-after"), nullptr);
 
-    // Healed: regeneration is bit-identical and no longer marked stale.
+    // Healed: after the open window the half-open probe succeeds, and
+    // tiles are served without the header.
     fault::disarm();
+    std::this_thread::sleep_for(std::chrono::milliseconds(600));
     const ClientResponse healed = client.get(tile_path(0, 0));
     ASSERT_EQ(healed.status, 200);
     EXPECT_EQ(healed.header("x-rrs-stale"), nullptr);
     EXPECT_EQ(healed.body, fresh.body);
+    const ClientResponse healed_cold = client.get(tile_path(202, 200));
+    EXPECT_EQ(healed_cold.status, 200);
+    EXPECT_EQ(healed_cold.header("x-rrs-stale"), nullptr);
     expect_accounting_identity();
 }
 
@@ -259,7 +269,6 @@ TEST_F(ChaosServerTest, ReadyzDegradesWhileHealthzStaysLive) {
     TileRoutesOptions ropt;
     ropt.breaker_failures = 2;
     ropt.breaker_open_ms = 60000;  // stays open for the rest of the test
-    ropt.stale_bytes = 0;
     start_server(ropt);
 
     HttpClient client("127.0.0.1", server_->port());

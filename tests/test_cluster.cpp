@@ -17,6 +17,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -580,7 +581,7 @@ TEST_F(ClusterEndToEnd, ConditionalGetIsAnsweredAtTheProxy) {
     // The 304 must not have touched any shard.
     EXPECT_EQ(proxy_registry_.counter("cluster.forwards").value(),
               forwards_before);
-    EXPECT_EQ(proxy_registry_.counter("cluster.proxy.not_modified").value(), 1u);
+    EXPECT_EQ(proxy_registry_.counter("net.not_modified").value(), 1u);
 }
 
 TEST_F(ClusterEndToEnd, ReadyzAggregatesAndDegradesPerFleet) {
@@ -599,9 +600,9 @@ TEST_F(ClusterEndToEnd, ReadyzAggregatesAndDegradesPerFleet) {
 
 TEST_F(ClusterEndToEnd, DeadShardDegradesOnlyItsOwnTiles) {
     net::HttpClient http("127.0.0.1", proxy_->port());
-    // Find one tile per shard, then kill n3 and re-request both: n3's tile
-    // degrades (stale replay after a warm request, 503 when cold), the
-    // other shard's tile keeps serving 200.
+    // Find one tile per shard, then kill n3 and re-request both: n3's warm
+    // tile is still served from the proxy's cache, its cold tiles get 503,
+    // the other shard's tile keeps serving 200.
     TileKey dead_key{-1, -1, 0};
     TileKey live_key{-1, -1, 0};
     const std::uint64_t fp = shards_[0].service->fingerprint();
@@ -621,14 +622,19 @@ TEST_F(ClusterEndToEnd, DeadShardDegradesOnlyItsOwnTiles) {
         return "/v1/tile?tx=" + std::to_string(key.tx) +
                "&ty=" + std::to_string(key.ty);
     };
-    // Warm the doomed tile through the proxy so a stale body exists.
-    ASSERT_EQ(http.get(tile_target(dead_key)).status, 200);
+    // Warm the doomed tile through the proxy: it lands in the proxy's cache.
+    const net::ClientResponse warm = http.get(tile_target(dead_key));
+    ASSERT_EQ(warm.status, 200);
     shards_[2].server->stop();
 
-    const net::ClientResponse stale = http.get(tile_target(dead_key));
-    EXPECT_EQ(stale.status, 200);
-    ASSERT_NE(stale.header("x-rrs-stale"), nullptr);
-    EXPECT_EQ(*stale.header("x-rrs-stale"), "1");
+    // A hit in the proxy's cache — its last-known-good store — never asks
+    // the dead owner.
+    const std::uint64_t forwards_before =
+        proxy_registry_.counter("cluster.forwards").value();
+    const net::ClientResponse cached = http.get(tile_target(dead_key));
+    EXPECT_EQ(cached.status, 200);
+    EXPECT_EQ(cached.body, warm.body);
+    EXPECT_EQ(proxy_registry_.counter("cluster.forwards").value(), forwards_before);
 
     // A cold tile of the dead shard has no stale body: 503 + Retry-After.
     TileKey cold_key{-1, -1, 0};
@@ -648,12 +654,103 @@ TEST_F(ClusterEndToEnd, DeadShardDegradesOnlyItsOwnTiles) {
     EXPECT_EQ(http.get(tile_target(live_key)).status, 200);
 }
 
-TEST_F(ClusterEndToEnd, PyramidForwardsToTopOwner) {
+TEST_F(ClusterEndToEnd, PyramidIsDerivedAtTheProxy) {
+    // The proxy fetches the four base tiles from their owners and derives
+    // the top tile itself.
     net::HttpClient http("127.0.0.1", proxy_->port());
     const net::ClientResponse resp = http.get("/v1/pyramid?tx=0&ty=0&z=1");
     ASSERT_EQ(resp.status, 200) << resp.body;
     ASSERT_NE(resp.header("x-rrs-tiles"), nullptr);
     EXPECT_EQ(*resp.header("x-rrs-tiles"), "5");  // 1 top + 4 children
+}
+
+TEST_F(ClusterEndToEnd, ProxiedTilesAndPyramidsMatchASingleShard) {
+    // Zoom tiles and pyramids are derived at the proxy from owner-fetched
+    // base tiles; every body must still be the bytes one node serves.  The
+    // reference node is outside the fleet, so no pooled proxy connection
+    // competes with this test's own for its workers.
+    Shard single = boot_shard();
+    net::HttpClient proxy("127.0.0.1", proxy_->port());
+    net::HttpClient direct("127.0.0.1", single.port());
+    for (const std::string target :
+         {"/v1/tile?tx=1&ty=-1&z=0", "/v1/tile?tx=-1&ty=0&z=1",
+          "/v1/tile?tx=0&ty=0&z=1", "/v1/pyramid?tx=0&ty=-1&z=1"}) {
+        for (const std::string q : {"f32", "i16", "f64"}) {
+            if (target.rfind("/v1/pyramid", 0) == 0 && q == "i16") {
+                continue;  // pyramids reject i16 (per-tile quantization)
+            }
+            const std::string request = target + "&q=" + q;
+            const net::ClientResponse via_proxy = proxy.get(request);
+            const net::ClientResponse expect = direct.get(request);
+            ASSERT_EQ(via_proxy.status, 200) << request << ": " << via_proxy.body;
+            ASSERT_EQ(expect.status, 200) << request << ": " << expect.body;
+            EXPECT_EQ(via_proxy.body, expect.body) << request;
+            EXPECT_FALSE(via_proxy.body.empty()) << request;
+        }
+    }
+    single.server->stop();
+}
+
+// Default options end to end: a default ClusterOptions proxy must never
+// hold more pooled connections to a shard than a default shard admits, or
+// the shard sheds the excess with 503.
+TEST(ClusterDefaults, ConcurrentWindowsThroughDefaultProxyAreNeverShed) {
+    std::vector<Shard> shards;
+    for (int i = 0; i < 3; ++i) {
+        shards.push_back(boot_shard());
+        ASSERT_EQ(shards.back().server->options().workers,
+                  net::HttpServer::Options{}.workers)
+            << "the shards must run a default shard's admission cap";
+    }
+    const Topology topo = local_fleet({{"n1", shards[0].port()},
+                                       {"n2", shards[1].port()},
+                                       {"n3", shards[2].port()}});
+    auto client = std::make_shared<ClusterClient>(topo);  // default options
+    obs::MetricsRegistry proxy_registry;
+    constexpr int kWindows = 16;
+    net::HttpServer::Options popt;
+    popt.workers = kWindows;  // the proxy itself admits every window at once
+    popt.registry = &proxy_registry;
+    net::HttpServer proxy(make_cluster_router(client, &proxy_registry), popt);
+    proxy.start();
+
+    const std::uint64_t fp = shards[0].service->fingerprint();
+    std::vector<Rect> windows;
+    for (int i = 0; i < kWindows; ++i) {
+        // Distinct 128x128 windows (16 cold tiles each), never overlapping.
+        windows.push_back(Rect{160 * (i % 4) - 320, 160 * (i / 4) - 320, 128, 128});
+        std::set<std::size_t> owners;
+        for (const TileKey& key : covering_tiles(TileShape{32, 32}, windows.back())) {
+            owners.insert(client->map().owner(fp, key));
+        }
+        ASSERT_GE(owners.size(), 2u) << "window " << i << " spans one shard";
+    }
+    std::vector<int> statuses(kWindows, 0);
+    std::vector<std::thread> drivers;
+    for (int i = 0; i < kWindows; ++i) {
+        drivers.emplace_back([&, i] {
+            const Rect& w = windows[static_cast<std::size_t>(i)];
+            try {
+                net::HttpClient http("127.0.0.1", proxy.port());
+                statuses[static_cast<std::size_t>(i)] =
+                    http.get("/v1/window?x0=" + std::to_string(w.x0) +
+                             "&y0=" + std::to_string(w.y0) + "&nx=128&ny=128")
+                        .status;
+            } catch (const Error&) {
+                statuses[static_cast<std::size_t>(i)] = -1;
+            }
+        });
+    }
+    for (std::thread& d : drivers) {
+        d.join();
+    }
+    for (int i = 0; i < kWindows; ++i) {
+        EXPECT_EQ(statuses[static_cast<std::size_t>(i)], 200) << "window " << i;
+    }
+    proxy.stop();
+    for (Shard& shard : shards) {
+        shard.server->stop();
+    }
 }
 
 // ------------------------------------------------------------ peer fill

@@ -5,6 +5,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
+#include <cstdlib>
+#include <cstring>
 #include <set>
 #include <string>
 #include <thread>
@@ -300,6 +303,26 @@ TEST_F(ObsTrace, ChromeTraceJsonHasExpectedShape) {
               std::count(json.begin(), json.end(), '}'));
     EXPECT_EQ(std::count(json.begin(), json.end(), '['),
               std::count(json.begin(), json.end(), ']'));
+}
+
+TEST_F(ObsTrace, ChromeTraceKeepsNanosecondsAfterLongUptime) {
+    // Span stamps are ns since the trace epoch; after 1e6 µs of uptime six
+    // significant digits would round the start to 10 µs.
+    const std::uint64_t t0_ns = 1'234'567'891'234;
+    const std::uint64_t dur_ns = 5'678'901;
+    detail::trace_record("late", t0_ns, t0_ns + dur_ns);
+    const std::string json = chrome_trace_json();
+    const std::size_t at = json.find("\"name\":\"late\"");
+    ASSERT_NE(at, std::string::npos) << json;
+    const auto field_ns = [&](const char* key) {
+        const std::size_t pos = json.find(key, at);
+        EXPECT_NE(pos, std::string::npos) << key << " in " << json;
+        return std::llround(std::stod(json.substr(pos + std::strlen(key))) * 1000.0);
+    };
+    const double ts_us = static_cast<double>(t0_ns) / 1000.0;
+    ASSERT_GE(ts_us, 1e6);
+    EXPECT_LE(std::llabs(field_ns("\"ts\":") - static_cast<long long>(t0_ns)), 1);
+    EXPECT_LE(std::llabs(field_ns("\"dur\":") - static_cast<long long>(dur_ns)), 1);
 }
 
 TEST_F(ObsTrace, PipelineEmitsExpectedSpanNames) {

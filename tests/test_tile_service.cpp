@@ -633,16 +633,21 @@ TEST(TileService, BatchFanOutScalesWithPoolThreads) {
                      << "this machine reports " << hw;
     }
 
-    const auto timed_batch = [](std::size_t pool_threads) {
-        const auto gen = make_gen(404);
+    // One generator for every run, its kernels built and exercised before
+    // any clock starts: the timed batch is tile generation only.  64 cold
+    // 64x64 tiles are ~30 ms of serial work — long enough that scheduler
+    // noise on a shared host cannot swing the ratio.
+    const auto gen = make_gen(404);
+    (void)gen.generate(Rect{0, 0, 64, 64});
+    const auto timed_batch = [&gen](std::size_t pool_threads) {
         ThreadPool pool(pool_threads);
         TileService::Options opt;
         opt.shape = TileShape{64, 64};
         opt.pool = &pool;
         TileService service(gen, opt);
         std::vector<TileKey> keys;
-        for (std::int64_t ty = 0; ty < 4; ++ty) {
-            for (std::int64_t tx = 0; tx < 4; ++tx) {
+        for (std::int64_t ty = 0; ty < 8; ++ty) {
+            for (std::int64_t tx = 0; tx < 8; ++tx) {
                 keys.push_back(TileKey{tx, ty, 0});
             }
         }
@@ -654,13 +659,13 @@ TEST(TileService, BatchFanOutScalesWithPoolThreads) {
         return std::chrono::duration<double>(t1 - t0).count();
     };
 
-    // Warm-up run to settle pool spin-up and any lazy FFT planning, then
-    // best-of-two per configuration to damp scheduler noise.
+    // Warm-up run to settle pool spin-up, then best-of-two per
+    // configuration to damp scheduler noise.
     (void)timed_batch(1);
     const double serial = std::min(timed_batch(1), timed_batch(1));
     const double fanout = std::min(timed_batch(4), timed_batch(4));
     EXPECT_GE(serial / fanout, 1.5)
-        << "cold 16-tile batch: 1-thread pool took " << serial << " s, 4-thread pool "
+        << "cold 64-tile batch: 1-thread pool took " << serial << " s, 4-thread pool "
         << fanout << " s — fan-out is serialized again";
 }
 

@@ -265,6 +265,8 @@ run_cluster() {
     #     `rrsquery --cluster`'s in-process routing;
     #   * /v1/tile traffic really spreads: >= 2 shards show forwarded
     #     requests in the proxy's /metrics;
+    #   * z = 1 tiles (f32, i16) and a z = 1 pyramid, derived at the proxy,
+    #     are byte-identical to a shard's own answer;
     #   * SIGSTOP of one shard flips the fleet /readyz to 503 (naming the
     #     stalled shard) and `rrsquery --cluster` exits 3 for tiles it
     #     owns while other shards keep serving; SIGCONT heals both;
@@ -339,6 +341,20 @@ run_cluster() {
             return 1
         fi
     done
+    # Zoom levels are derived at the proxy from owner-fetched base tiles:
+    # a z = 1 tile (f32 and i16) and a z = 1 pyramid must still be the
+    # bytes a shard serves itself.
+    local zt
+    for zt in '/v1/tile?tx=0&ty=-1&z=1&q=f32' '/v1/tile?tx=-1&ty=0&z=1&q=i16' \
+              '/v1/pyramid?tx=0&ty=0&z=1'; do
+        build/tools/rrsquery "127.0.0.1:$proxy" "$zt" --out "$work/z.proxy" > /dev/null
+        build/tools/rrsquery "127.0.0.1:${ports[2]}" "$zt" --out "$work/z.direct" > /dev/null
+        if ! cmp -s "$work/z.proxy" "$work/z.direct"; then
+            echo "==> cluster smoke: $zt differs via proxy" >&2
+            return 1
+        fi
+    done
+    echo "    zoom ok: z = 1 tiles (f32, i16) and pyramid byte-identical via the proxy"
     build/tools/rrsquery "127.0.0.1:$proxy" /metrics > "$work/metrics.json"
     python3 - "$work/metrics.json" <<'EOF'
 import json, sys

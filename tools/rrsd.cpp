@@ -10,14 +10,15 @@
 // Each positional argument registers one scene: `NAME=FILE` serves FILE as
 // scene NAME; a bare FILE is served under its basename without extension.
 // Endpoints (see src/net/tile_routes.hpp): /, /healthz, /readyz, /metrics,
-// /tracez, /v1/tile, /v1/window.
+// /tracez, /v1/tile, /v1/window, /v1/pyramid.
 //
 //   --host ADDR        bind address                         (default 127.0.0.1)
 //   --port N           bind port; 0 = ephemeral             (default 0)
 //   --port-file FILE   write the bound port to FILE (for ephemeral-port
 //                      scripting: start, poll FILE, connect)
 //   --tile-size N      tile extent in lattice points        (default 256)
-//   --cache-mb N       tile cache budget in MiB             (default 256)
+//   --cache-mb N       tile cache budget in MiB, per scene; in proxy mode
+//                      the last-known-good store too         (default 256)
 //   --gen-threads N    generation fan-out threads           (default hardware)
 //   --workers N        HTTP connection workers              (default 4)
 //   --connections N    admission cap; 0 = workers           (default 0)
@@ -28,9 +29,6 @@
 //   --breaker-failures N  consecutive generation failures that open a
 //                      scene's circuit breaker; 0 disables    (default 5)
 //   --breaker-open-ms N   open-state duration before a probe  (default 1000)
-//   --stale-mb N       stale-tile store budget in MiB; serves the last
-//                      known tile with X-RRS-Stale: 1 on generation
-//                      failure or open breaker; 0 disables    (default 32)
 //   --store DIR        persistent L2 tile store directory (created if
 //                      missing); a restarted daemon on the same DIR serves
 //                      previously generated tiles from disk instead of
@@ -47,8 +45,10 @@
 //                      proxy mode: serve the fleet described by the
 //                      topology file (src/cluster/topology.hpp grammar) as
 //                      one logical tile server — no scene files, no
-//                      generator; tiles route to their owning shard by
-//                      rendezvous hashing, windows stitch across shards
+//                      generator: the ordinary tile routes over services
+//                      whose base tiles are fetched from their owning shard
+//                      (rendezvous hashing) and cached (--cache-mb); zoom
+//                      tiles, windows and pyramids are derived at the proxy
 //                      byte-identically, /readyz aggregates the fleet
 //   --cluster-timeout-ms N  per-forward deadline in proxy mode (default 5000)
 //   --cluster-prev TOPOLOGY --cluster-node NAME
@@ -104,7 +104,6 @@ int usage() {
                  "  --quiet          suppress log lines\n"
                  "  --breaker-failures N  failures that open a breaker; 0 = off\n"
                  "  --breaker-open-ms N   open duration before probing\n"
-                 "  --stale-mb N     stale-tile store MiB; 0 = off (default 32)\n"
                  "  --store DIR      persistent L2 tile store directory\n"
                  "  --store-mb N     L2 store budget in MiB (default 1024)\n"
                  "  --faults SPEC    arm a fault plan (default: $RRS_FAULTS)\n"
@@ -153,7 +152,6 @@ int main(int argc, char** argv) {
     bool trace = false;
     bool quiet = false;
     net::TileRoutesOptions route_opt;
-    std::size_t stale_mb = 32;
     std::string store_dir;
     std::size_t store_mb = 1024;
     std::string faults_spec;
@@ -250,12 +248,6 @@ int main(int argc, char** argv) {
                 return usage();
             }
             route_opt.breaker_open_ms = std::atoi(v);
-        } else if (arg == "--stale-mb") {
-            const char* v = next_value("--stale-mb");
-            if (v == nullptr) {
-                return usage();
-            }
-            stale_mb = std::strtoull(v, nullptr, 10);
         } else if (arg == "--store") {
             const char* v = next_value("--store");
             if (v == nullptr) {
@@ -344,14 +336,16 @@ int main(int argc, char** argv) {
         std::shared_ptr<cluster::ClusterClient> cluster_client;
         net::Router router;
         if (proxy_mode) {
-            // Stateless routing tier: no generator, no scene — one
-            // ClusterClient over the declared fleet (cluster/proxy.hpp).
+            // Routing tier: no generator, no scene file — the tile routes
+            // over owner-fetching services, one ClusterClient over the
+            // declared fleet (cluster/proxy.hpp).
             cluster::Topology topo = cluster::load_topology(cluster_file);
             cluster::ClusterOptions copt;
             copt.timeout_ms = cluster_timeout_ms;
             cluster_client = std::make_shared<cluster::ClusterClient>(
                 std::move(topo), copt);
-            router = cluster::make_cluster_router(cluster_client);
+            router = cluster::make_cluster_router(cluster_client, nullptr,
+                                                  cache_mb << 20);
             if (!quiet) {
                 std::cerr << "rrsd: proxy over " << cluster_client->map().size()
                           << " shard(s), topology epoch "
@@ -423,7 +417,6 @@ int main(int argc, char** argv) {
                               << prev.epoch << ")\n";
                 }
             }
-            route_opt.stale_bytes = stale_mb << 20;
             router = net::make_tile_router(std::move(scenes), nullptr, route_opt);
         }
 

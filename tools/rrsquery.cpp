@@ -9,11 +9,13 @@
 //   rrsquery --cluster fleet.topo "/v1/window?x0=0&y0=0&nx=512&ny=512" --stats
 //
 // With `--cluster TOPOLOGY` (a src/cluster/topology.hpp file) the client
-// routes fleet-side without a proxy: /v1/tile and /v1/pyramid go straight
-// to the owning shard (rendezvous hashing, DESIGN.md §17), /v1/window is
-// fanned out and stitched client-side (byte-identical to single-node
-// serving), /readyz aggregates every shard, and anything else is asked of
-// the first node.  An unreachable shard exits 3, like a connect failure.
+// routes fleet-side without a proxy: /v1/tile, /v1/window, /v1/pyramid and
+// /readyz are answered by the routing proxy's own router (cluster/proxy.hpp)
+// dispatched in-process — base tiles fetched from their owning shards
+// (rendezvous hashing, DESIGN.md §17), zoom tiles, windows and pyramids
+// derived byte-identically to single-node serving, /readyz aggregated over
+// every shard — and anything else is asked of the first node.  An
+// unavailable shard exits 3, like a connect failure.
 //
 // Prints the response body to stdout (binary surface bodies are summarised
 // unless --out or --stats asks otherwise) and exits 0 iff the response
@@ -49,12 +51,12 @@
 #include <utility>
 
 #include "cluster/client.hpp"
+#include "cluster/proxy.hpp"
 #include "cluster/topology.hpp"
 #include "core/error.hpp"
 #include "net/client.hpp"
 #include "net/http.hpp"
-#include "net/query.hpp"
-#include "net/tile_routes.hpp"
+#include "obs/metrics.hpp"
 
 namespace {
 
@@ -74,6 +76,13 @@ int usage() {
                  "unavailable,\n"
                  "            4 = deadline exhausted\n";
     return 2;
+}
+
+std::string lower(std::string s) {
+    for (char& c : s) {
+        c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+    }
+    return s;
 }
 
 /// Little-endian float32 at `p`.
@@ -121,26 +130,23 @@ int print_surface_stats(const rrs::net::ClientResponse& resp) {
     return 0;
 }
 
-/// Re-cast a server-side HttpResponse (client-side stitched window,
-/// aggregated readyz) as the ClientResponse the shared printing path
-/// expects — header names lower-cased, the way parse_response_head does.
+/// Re-cast a server-side HttpResponse (a route answered in-process) as
+/// the ClientResponse the shared printing path expects — header names
+/// lower-cased, the way parse_response_head does.
 rrs::net::ClientResponse synthesize(rrs::net::HttpResponse resp) {
     rrs::net::ClientResponse out;
     out.status = resp.status;
     out.body = std::move(resp.body);
     out.headers.emplace_back("content-type", std::move(resp.content_type));
     for (auto& [name, value] : resp.extra_headers) {
-        std::string lower = name;
-        for (char& c : lower) {
-            c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-        }
-        out.headers.emplace_back(std::move(lower), std::move(value));
+        out.headers.emplace_back(lower(std::move(name)), std::move(value));
     }
     return out;
 }
 
-/// Fleet-side routing for --cluster (file comment): resolve the target the
-/// way the proxy would, but in-process.
+/// Fleet-side routing for --cluster (file comment): the proxy's own router,
+/// dispatched in-process.  Errors propagate (an unavailable shard is a
+/// NodeUnavailableError, exit 3) instead of becoming status codes.
 rrs::net::ClientResponse cluster_fetch(const std::string& topology_file,
                                        const std::string& target,
                                        const rrs::net::HttpClient::HeaderList& extra,
@@ -151,50 +157,23 @@ rrs::net::ClientResponse cluster_fetch(const std::string& topology_file,
     opt.retry = copt.retry;
     opt.connections_per_node = 2;  // one-shot tool: stay well under shard workers
     opt.fanout_threads = 4;
-    cluster::ClusterClient client(cluster::load_topology(topology_file), opt);
+    obs::MetricsRegistry registry;
+    opt.registry = &registry;
+    auto client = std::make_shared<cluster::ClusterClient>(
+        cluster::load_topology(topology_file), opt);
     // Borrow the server's own request parser so the target grammar (path,
     // %XX decoding, query split) is exactly the wire grammar.
-    const net::HttpRequest req =
-        net::parse_request_head("GET " + target + " HTTP/1.1");
-    if (req.path == "/readyz") {
-        const cluster::ClusterClient::FleetReady fleet = client.ready();
-        std::string body = std::string("{\"ready\":") +
-                           (fleet.ready ? "true" : "false") + ",\"nodes\":[";
-        bool first = true;
-        for (const auto& node : fleet.nodes) {
-            if (!first) {
-                body += ',';
-            }
-            first = false;
-            body += "{\"name\":\"" + net::json_escape(node.name) +
-                    "\",\"ready\":" + (node.ready ? "true" : "false") +
-                    ",\"status\":" + std::to_string(node.status) + "}";
-        }
-        body += "]}";
-        return synthesize(
-            net::HttpResponse::json(fleet.ready ? 200 : 503, std::move(body)));
+    net::HttpRequest req = net::parse_request_head("GET " + target + " HTTP/1.1");
+    if (req.path != "/readyz" && req.path != "/v1/tile" && req.path != "/v1/window" &&
+        req.path != "/v1/pyramid") {
+        // /, /healthz, /metrics, ...: fleet-global reads — any node will do.
+        return client->forward(0, target, extra);
     }
-    if (req.path == "/v1/tile") {
-        const auto [scene, info] = client.resolve_scene(req.query_param("scene"));
-        (void)info;
-        const net::TileQuery query = net::parse_tile_query(req);
-        return client.forward(client.owner_of(scene, query.key), target, extra);
+    for (const auto& [name, value] : extra) {
+        req.headers.emplace_back(lower(name), value);
     }
-    if (req.path == "/v1/pyramid") {
-        const auto [scene, info] = client.resolve_scene(req.query_param("scene"));
-        (void)info;
-        const net::PyramidQuery query = net::parse_pyramid_query(req);
-        return client.forward(client.owner_of(scene, query.top), target, extra);
-    }
-    if (req.path == "/v1/window") {
-        const auto [scene, info] = client.resolve_scene(req.query_param("scene"));
-        const net::WindowQuery query = net::parse_window_query(req);
-        const Array2D<double> window = client.window(scene, query.region);
-        return synthesize(net::surface_response(window, query.region, scene,
-                                                info.fingerprint, query.encoding));
-    }
-    // /, /healthz, /metrics, ...: fleet-global reads — any node will do.
-    return client.forward(0, target, extra);
+    registry.gauge("net.ready").set(1);  // this process is serving, not draining
+    return synthesize(cluster::make_cluster_router(client, &registry).dispatch(req));
 }
 
 }  // namespace
