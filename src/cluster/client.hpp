@@ -23,10 +23,13 @@
 ///  * `fetch_tile_f64()` — one base tile from a node as bit-exact `q=f64`.
 ///    The routing proxy (cluster/proxy.hpp) uses it, aimed at each tile's
 ///    owner, as the base-tile source of its TileServices; peer fill
-///    (cluster/peer_fill.hpp) uses it with `cached=1`.
+///    (cluster/peer_fill.hpp) uses it with `cached=1`, through one
+///    previous-epoch client per process.
 ///  * `window()` — fans the covering tiles out to their owners and
 ///    stitches them with TileService's own settle_tiles/stitch_window, so
 ///    it reproduces single-node generation byte-for-byte once re-encoded.
+///    No serving path uses it (the proxy's windows are its TileServices');
+///    it remains as perfbench's per-layer probe of uncached fleet fan-out.
 ///  * `ready()` — probes every node's /readyz with a short deadline and
 ///    aggregates: the fleet is ready iff every node is.
 ///
@@ -128,6 +131,8 @@ public:
 
     const ShardMap& map() const noexcept { return map_; }
     const ClusterOptions& options() const noexcept { return opt_; }
+    /// The registry the client's cluster.* metrics live in.
+    obs::MetricsRegistry& registry() const noexcept { return *registry_; }
 
     /// Scene table from fleet discovery (first call probes the fleet; all
     /// responding nodes must agree).  Throws UnavailableError when no node

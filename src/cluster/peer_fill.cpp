@@ -1,63 +1,58 @@
 #include "cluster/peer_fill.hpp"
 
-#include <memory>
 #include <utility>
-
-#include "cluster/client.hpp"
 
 namespace rrs::cluster {
 
-RemoteFill make_peer_filler(const Topology& previous, std::string self,
-                            std::string scene, std::uint64_t fingerprint,
-                            TileShape shape, PeerFillOptions opt) {
+TileSource peer_fill_source(std::shared_ptr<ClusterClient> previous,
+                            const std::string& self, std::string scene,
+                            std::uint64_t fingerprint, TileShape shape,
+                            TileSource local) {
+    if (previous == nullptr) {
+        throw ConfigError{"peer fill requires a previous-epoch client",
+                          {"cluster", "peer_fill"}};
+    }
     if (scene.empty()) {
-        throw ConfigError{"peer filler requires a scene name",
+        throw ConfigError{"peer fill requires a scene name",
                           {"cluster", "peer_fill"}};
     }
     if (fingerprint == 0) {
-        throw ConfigError{"peer filler requires a nonzero fingerprint",
+        throw ConfigError{"peer fill requires a nonzero fingerprint",
                           {"cluster", "peer_fill"}};
     }
     check_tile_shape(shape);
-    ClusterOptions copt;
-    copt.timeout_ms = opt.timeout_ms;
-    copt.connections_per_node = opt.connections_per_node;
-    copt.breaker_failures = opt.breaker_failures;
-    copt.breaker_open_ms = opt.breaker_open_ms;
-    copt.fanout_threads = 1;  // fills are per-miss; no window fan-out here
-    copt.registry = opt.registry;
-    obs::MetricsRegistry& registry =
-        opt.registry != nullptr ? *opt.registry : obs::MetricsRegistry::global();
+    if (!local) {
+        throw ConfigError{"peer fill requires a local source",
+                          {"cluster", "peer_fill"}};
+    }
+    obs::MetricsRegistry& registry = previous->registry();
     obs::Counter& fills = registry.counter("cluster.peer_fills");
     obs::Counter& misses = registry.counter("cluster.peer_fill_misses");
     obs::Counter& errors = registry.counter("cluster.peer_fill_errors");
-    // The client owns the previous-epoch ShardMap, the per-peer connection
-    // pools, and the per-peer breakers; shared by copy into the closure.
-    auto client = std::make_shared<ClusterClient>(previous, copt);
-    const std::size_t self_index = client->map().index_of(self);
-    return [client, self_index, scene = std::move(scene), fingerprint, shape,
-            &fills, &misses, &errors](const TileKey& key) -> TilePtr {
-        const std::size_t prev_owner = client->map().owner(fingerprint, key);
+    const std::size_t self_index = previous->map().index_of(self);
+    return [previous = std::move(previous), self_index, scene = std::move(scene),
+            fingerprint, shape, local = std::move(local), &fills, &misses,
+            &errors](const TileKey& key) -> TilePtr {
+        const std::size_t prev_owner = previous->map().owner(fingerprint, key);
         if (prev_owner == self_index) {
             // This node already owned the key last epoch: if it isn't in
-            // our own RAM/L2 (the caller just checked), nobody has it.
-            return nullptr;
+            // our own RAM/L2 (the service just checked), nobody has it.
+            return local(key);
         }
         try {
-            TilePtr tile = client->fetch_tile_f64(prev_owner, scene, fingerprint,
-                                                  shape, key, /*cached_only=*/true);
-            if (tile != nullptr) {
+            if (TilePtr tile = previous->fetch_tile_f64(prev_owner, scene, fingerprint,
+                                                        shape, key,
+                                                        /*cached_only=*/true)) {
                 fills.add();
-            } else {
-                misses.add();
+                return tile;
             }
-            return tile;
+            misses.add();
         } catch (const Error&) {
-            // Any failure — peer down, breaker open, protocol mismatch —
-            // degrades to local generation; the hook must never throw.
+            // Peer down, breaker open, protocol or fingerprint mismatch:
+            // degrade to local generation.
             errors.add();
-            return nullptr;
         }
+        return local(key);
     };
 }
 

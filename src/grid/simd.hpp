@@ -24,6 +24,7 @@
 /// arbitrary offsets (the separable-convolution inner loop), so alignment
 /// cannot be assumed even though Array2D storage is 64-byte aligned.
 
+#include <cmath>
 #include <complex>
 #include <cstddef>
 
@@ -110,7 +111,7 @@ inline void axpy(double* y, const double* x, double s, std::size_t n) noexcept {
                                          _mm256_loadu_pd(y + i)));
     }
     for (; i < n; ++i) {
-        y[i] += s * x[i];
+        y[i] = std::fma(s, x[i], y[i]);  // fused, like the vector body
     }
 #elif defined(RRS_SIMD_NEON)
     const float64x2_t vs = vdupq_n_f64(s);
@@ -119,7 +120,7 @@ inline void axpy(double* y, const double* x, double s, std::size_t n) noexcept {
         vst1q_f64(y + i, vfmaq_f64(vld1q_f64(y + i), vs, vld1q_f64(x + i)));
     }
     for (; i < n; ++i) {
-        y[i] += s * x[i];
+        y[i] = std::fma(s, x[i], y[i]);  // fused, like the vector body
     }
 #else
     for (std::size_t i = 0; i < n; ++i) {

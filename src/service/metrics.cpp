@@ -27,19 +27,7 @@ void ServiceMetrics::fill_snapshot(MetricsSnapshot& out) const {
     out.batches = batches_.value();
     out.l2_promotions = l2_promotions_.value();
     out.l2_write_failures = l2_write_failures_.value();
-    out.remote_fills = remote_fills_.value();
-
-    // The latency block reuses the shared obs quantile estimator (upper
-    // bucket bound — conservative, never under-reports).
-    const obs::HistogramSnapshot h = obs::snapshot_histogram(latency_);
-    LatencySnapshot& lat = out.latency;
-    lat.counts = h.counts;
-    lat.samples = h.samples;
-    lat.total_micros = h.sum;
-    lat.mean_us = h.mean;
-    lat.p50_us = h.p50;
-    lat.p95_us = h.p95;
-    lat.p99_us = h.p99;
+    out.latency = obs::snapshot_histogram(latency_);
 }
 
 std::string MetricsSnapshot::to_json() const {
@@ -55,15 +43,14 @@ std::string MetricsSnapshot::to_json() const {
     append_field(out, "generation_failures", generation_failures, first);
     append_field(out, "l2_promotions", l2_promotions, first);
     append_field(out, "l2_write_failures", l2_write_failures, first);
-    append_field(out, "remote_fills", remote_fills, first);
     append_field(out, "cache_evictions", cache_evictions, first);
     append_field(out, "cache_bytes", cache_bytes, first);
     append_field(out, "cache_tiles", cache_tiles, first);
     append_field(out, "cache_byte_budget", cache_byte_budget, first);
     out << ",\"hit_rate\":" << hit_rate();
     out << ",\"latency\":{\"samples\":" << latency.samples
-        << ",\"mean_us\":" << latency.mean_us << ",\"p50_us\":" << latency.p50_us
-        << ",\"p95_us\":" << latency.p95_us << ",\"p99_us\":" << latency.p99_us
+        << ",\"mean_us\":" << latency.mean << ",\"p50_us\":" << latency.p50
+        << ",\"p95_us\":" << latency.p95 << ",\"p99_us\":" << latency.p99
         << ",\"buckets_us\":[";
     // Emit [floor_us, count] pairs for non-empty buckets only — compact and
     // reconstructible (floors are the full log₂ ladder).
@@ -76,7 +63,7 @@ std::string MetricsSnapshot::to_json() const {
             out << ',';
         }
         first_bucket = false;
-        out << '[' << LatencyHistogram::bucket_floor_us(b) << ',' << latency.counts[b]
+        out << '[' << obs::Log2Histogram::bucket_floor(b) << ',' << latency.counts[b]
             << ']';
     }
     out << "]}}";

@@ -11,13 +11,20 @@
 /// maintains (and tests assert):
 ///
 ///     requests  == cache_hits + cache_misses
-///     generations + coalesced + l2_promotions + remote_fills == cache_misses
+///     generations + coalesced + l2_promotions == cache_misses
 ///
 /// i.e. every request either hits the in-memory cache, coalesces onto a
 /// generation already in flight, promotes the tile from the persistent L2
-/// store (tile_store.hpp), fills from a cluster peer (the previous owner
-/// after a reshard — cluster/peer_fill.hpp), or starts the one generation
-/// for its tile.
+/// store (tile_store.hpp), or starts the one generation for its tile.  A
+/// "generation" is whatever produces a missing tile: the service's source
+/// (a local generator, an owner fetch on the proxy, a peer fill on a
+/// resharded shard — cluster/peer_fill.hpp) or a zoom derivation.
+///
+/// Latency is an obs::Log2Histogram over microseconds: bucket b counts
+/// samples in [2^b, 2^(b+1)) µs (bucket 0 is [0, 2) µs), the last bucket
+/// absorbs everything slower (≥ ~33.6 s); the snapshot's quantiles are the
+/// upper bound of the bucket holding them — conservative, never
+/// under-reports.
 ///
 /// Each service keeps its own ServiceMetrics instance (per-service JSON
 /// stays self-consistent); the service additionally mirrors its events into
@@ -25,40 +32,12 @@
 /// so registry exports (`rrsgen --metrics`, `rrstile --metrics`) see
 /// combined traffic.
 
-#include <array>
 #include <cstdint>
 #include <string>
 
 #include "obs/metrics.hpp"
 
 namespace rrs {
-
-/// Fixed log₂-bucketed latency histogram over microseconds — the generic
-/// obs::Log2Histogram with microsecond-named accessors.
-/// Bucket b counts samples in [2^b, 2^(b+1)) µs (bucket 0 is [0, 2) µs);
-/// the last bucket absorbs everything slower (≥ ~33.6 s).
-class LatencyHistogram : public obs::Log2Histogram {
-public:
-    /// Inclusive lower bound of bucket `b` in microseconds.
-    static std::uint64_t bucket_floor_us(std::size_t b) noexcept {
-        return bucket_floor(b);
-    }
-
-    std::uint64_t total_micros() const noexcept { return sum(); }
-};
-
-/// Plain-value export of the histogram: per-bucket counts plus the quantile
-/// estimates most dashboards want (upper bound of the bucket holding the
-/// quantile — conservative, never under-reports).
-struct LatencySnapshot {
-    std::array<std::uint64_t, LatencyHistogram::kBuckets> counts{};
-    std::uint64_t samples = 0;
-    std::uint64_t total_micros = 0;
-    double mean_us = 0.0;
-    std::uint64_t p50_us = 0;
-    std::uint64_t p95_us = 0;
-    std::uint64_t p99_us = 0;
-};
 
 /// Point-in-time copy of every service counter.  Cache fields mirror the
 /// TileCache the service uses (which may be shared with other services —
@@ -73,12 +52,11 @@ struct MetricsSnapshot {
     std::uint64_t generation_failures = 0;
     std::uint64_t l2_promotions = 0;      ///< misses served from the persistent store
     std::uint64_t l2_write_failures = 0;  ///< store writes swallowed (tile still served)
-    std::uint64_t remote_fills = 0;       ///< misses served by a cluster peer
     std::uint64_t cache_evictions = 0;
     std::uint64_t cache_bytes = 0;
     std::uint64_t cache_tiles = 0;
     std::uint64_t cache_byte_budget = 0;
-    LatencySnapshot latency;
+    obs::HistogramSnapshot latency;  ///< request latency in microseconds
 
     /// Hit fraction of served requests (0 when no requests were made).
     double hit_rate() const noexcept {
@@ -103,7 +81,6 @@ public:
     void record_batch() noexcept { batches_.add(); }
     void record_l2_promotion() noexcept { l2_promotions_.add(); }
     void record_l2_write_failure() noexcept { l2_write_failures_.add(); }
-    void record_remote_fill() noexcept { remote_fills_.add(); }
     void record_latency_us(std::uint64_t micros) noexcept { latency_.record(micros); }
 
     /// Copy the counters into `out` (cache fields are left untouched — the
@@ -120,8 +97,7 @@ private:
     obs::Counter batches_;
     obs::Counter l2_promotions_;
     obs::Counter l2_write_failures_;
-    obs::Counter remote_fills_;
-    LatencyHistogram latency_;
+    obs::Log2Histogram latency_;
 };
 
 }  // namespace rrs

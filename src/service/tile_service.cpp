@@ -24,7 +24,6 @@ struct GlobalTileCounters {
     obs::Counter& generations;
     obs::Counter& l2_promotions;
     obs::Counter& l2_write_failures;
-    obs::Counter& remote_fills;
 
     static GlobalTileCounters& get() {
         static GlobalTileCounters c{
@@ -34,8 +33,7 @@ struct GlobalTileCounters {
             obs::MetricsRegistry::global().counter("service.tile.coalesced"),
             obs::MetricsRegistry::global().counter("service.tile.generations"),
             obs::MetricsRegistry::global().counter("store.l2.promotions"),
-            obs::MetricsRegistry::global().counter("store.l2.write_failures"),
-            obs::MetricsRegistry::global().counter("service.tile.remote_fills")};
+            obs::MetricsRegistry::global().counter("store.l2.write_failures")};
         return c;
     }
 };
@@ -60,9 +58,11 @@ std::uint64_t next_private_fingerprint() {
     return id == 0 ? 1 : id;
 }
 
-/// The local base-tile source over a generator.  Only local generation
-/// passes the `tile.generate` fault site and span: a proxy's owner fetch
-/// must not sleep or fail where a shard's generator would.
+/// Private caches split their budget over this many LRU shards.
+constexpr std::size_t kCacheShards = 16;
+
+}  // namespace
+
 TileSource local_source(std::function<Array2D<double>(const Rect&)> generate,
                         TileShape shape) {
     RRS_CHECK(static_cast<bool>(generate), "TileService", "generate callable is empty");
@@ -74,8 +74,6 @@ TileSource local_source(std::function<Array2D<double>(const Rect&)> generate,
         return std::make_shared<const Array2D<double>>(generate(tile_rect(shape, key)));
     };
 }
-
-}  // namespace
 
 std::vector<TilePtr> settle_tiles(std::vector<std::future<TilePtr>>& futures) {
     std::vector<TilePtr> out(futures.size());
@@ -131,7 +129,7 @@ TileService::TileService(TileSource source, std::uint64_t fingerprint, Options o
     check_tile_shape(opt_.shape);
     RRS_CHECK(static_cast<bool>(source_), "TileService", "tile source is empty");
     if (!cache_) {
-        cache_ = std::make_shared<TileCache>(opt_.cache_bytes, opt_.cache_shards);
+        cache_ = std::make_shared<TileCache>(opt_.cache_bytes, kCacheShards);
     }
 }
 
@@ -200,34 +198,13 @@ TilePtr TileService::generate_or_join(const TileKey& key) {
             // L2 first: a promotion serves the stored bytes without a
             // generation (and without counting one).  An L2 miss — or any
             // injected/real read degradation inside find() — falls through
-            // to generation.
+            // to the source or derivation.
             TilePtr tile;
             if (opt_.store) {
                 if (store::TileStore::TilePayload stored = opt_.store->find(address)) {
                     tile = std::move(stored);
                     metrics_.record_l2_promotion();
                     GlobalTileCounters::get().l2_promotions.add();
-                }
-            }
-            if (!tile && opt_.remote_fill) {
-                // Cluster peer fill (never throws; nullptr = generate).  A
-                // wrong-shaped payload is discarded — a misconfigured peer
-                // must not poison the cache.
-                if (TilePtr remote = opt_.remote_fill(key);
-                    remote != nullptr &&
-                    remote->nx() == static_cast<std::size_t>(opt_.shape.nx) &&
-                    remote->ny() == static_cast<std::size_t>(opt_.shape.ny)) {
-                    tile = std::move(remote);
-                    metrics_.record_remote_fill();
-                    GlobalTileCounters::get().remote_fills.add();
-                    if (opt_.store) {
-                        try {
-                            opt_.store->insert(address, *tile);
-                        } catch (const Error&) {
-                            metrics_.record_l2_write_failure();
-                            GlobalTileCounters::get().l2_write_failures.add();
-                        }
-                    }
                 }
             }
             if (!tile) {
@@ -273,7 +250,16 @@ TilePtr TileService::generate_or_join(const TileKey& key) {
 
 TilePtr TileService::generate_tile(const TileKey& key) {
     if (key.z == 0) {
-        return source_(key);
+        TilePtr tile = source_(key);
+        // A misconfigured source (a peer serving another tile size) must
+        // not poison the cache: the failure reaches every waiter instead.
+        if (tile == nullptr ||
+            tile->nx() != static_cast<std::size_t>(opt_.shape.nx) ||
+            tile->ny() != static_cast<std::size_t>(opt_.shape.ny)) {
+            throw IoError{"tile source returned a tile of the wrong shape",
+                          {"service", "TileService"}};
+        }
+        return tile;
     }
     // Derive from the four z−1 children (decimation by 2 of the assembled
     // child block).  get() runs on the calling thread — no pool submission —

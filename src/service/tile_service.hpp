@@ -41,22 +41,17 @@
 /// dependency.
 ///
 /// Base-tile source: a base (z = 0) tile that no tier holds comes from the
-/// service's TileSource.  A service over a generator wraps it as the local
-/// source, which alone passes the `tile.generate` fault site and trace
-/// span.  The cluster proxy (cluster/proxy.hpp) passes an owner fetch
-/// instead: a tile is a pure function of (fingerprint, key), so a fetched
-/// tile is the same bytes a local generation would produce, and every
-/// layer above the source (cache, coalescing, zoom derivation, windows,
-/// pyramids) is the same code on a shard and on the proxy.  Miss chain:
-/// RAM → L2 → remote fill → source (z = 0) or derivation (z > 0).
-///
-/// Remote fill (cluster/peer_fill.hpp): when Options::remote_fill is set
-/// (or installed via set_remote_fill before serving), the miss-leader path
-/// tries it after the L2 lookup and before generating — a cluster node can
-/// warm from the tile's previous owner instead of regenerating after a
-/// reshard.  The hook must never throw; nullptr means "generate locally".
-/// A filled tile is shape-checked, counted (`remote_fills`), and written
-/// through to the store like a fresh generation.
+/// service's TileSource.  `local_source` wraps a generator; it alone passes
+/// the `tile.generate` fault site and trace span.  The cluster proxy
+/// (cluster/proxy.hpp) passes an owner fetch instead, and a resharded shard
+/// wraps its local source in a peer fill from the previous owner
+/// (cluster/peer_fill.hpp): a tile is a pure function of (fingerprint,
+/// key), so every source yields the same bytes, and every layer above the
+/// source (cache, coalescing, zoom derivation, windows, pyramids) is the
+/// same code on every kind of node.  Miss chain: RAM → L2 → source (z = 0)
+/// or derivation (z > 0), then one write-through to the store.  The service
+/// checks the shape of every tile its source returns: a wrong-shaped tile
+/// throws IoError to every waiter and is not cached.
 ///
 /// Thread-safety contract: `get`, `get_many`, `window`, and `metrics` may be
 /// called concurrently.  The wrapped generator's `generate(Rect) const` must
@@ -89,6 +84,13 @@ namespace rrs {
 /// return a tile of the service's shape, never null; may throw.
 using TileSource = std::function<TilePtr(const TileKey&)>;
 
+/// The local base-tile source: `generate` over the key's rect of `shape`.
+/// Only local generation passes the `tile.generate` fault site and trace
+/// span — a proxy's owner fetch must not sleep or fail where a shard's
+/// generator would.  Throws ConfigError on an empty callable.
+TileSource local_source(std::function<Array2D<double>(const Rect&)> generate,
+                        TileShape shape);
+
 /// Wait for every future, then rethrow the first failure: a batch never
 /// leaves work running against a caller that has already given up.
 /// Results align with `futures`.
@@ -110,22 +112,17 @@ public:
         /// Cache payload budget when the service builds its own cache
         /// (ignored when a shared cache is injected).
         std::size_t cache_bytes = std::size_t{256} << 20;  // 256 MiB
-        std::size_t cache_shards = 16;
         /// Pool for batch fan-out; nullptr = ThreadPool::shared().
         ThreadPool* pool = nullptr;
         /// Persistent L2 tile store under the in-memory cache; may be shared
         /// across services (addresses carry the fingerprint).  nullptr = no
         /// persistence tier.
         std::shared_ptr<store::TileStore> store = nullptr;
-        /// Cluster peer-fill hook, tried on the miss-leader path after L2
-        /// and before generation (file comment).  Must not throw; returns
-        /// nullptr to fall through to local generation.
-        std::function<TilePtr(const TileKey&)> remote_fill = nullptr;
     };
 
     /// Wrap `gen` (any type with `Array2D<double> generate(const Rect&) const`).
-    /// `cache` may be shared across services; nullptr builds a private cache
-    /// from `opt.cache_bytes` / `opt.cache_shards`.
+    /// `cache` may be shared across services; nullptr builds a private
+    /// 16-shard cache of `opt.cache_bytes`.
     template <typename Generator>
     explicit TileService(const Generator& gen, Options opt = {},
                          std::shared_ptr<TileCache> cache = nullptr)
@@ -140,7 +137,8 @@ public:
                 std::shared_ptr<TileCache> cache);
 
     /// Core constructor over any base-tile source (file comment), e.g. an
-    /// owner fetch whose fingerprint is the fleet-agreed one.
+    /// owner fetch whose fingerprint is the fleet-agreed one, or a peer
+    /// fill wrapped around `local_source`.
     TileService(TileSource source, std::uint64_t fingerprint, Options opt,
                 std::shared_ptr<TileCache> cache);
 
@@ -166,25 +164,18 @@ public:
     TileService& operator=(const TileService&) = delete;
 
     /// Serve one tile: cache hit, join of an in-flight generation, an L2
-    /// promotion, a remote peer fill, or a fresh generation (zoom tiles
-    /// derive from children — file comment).  Never returns null; rethrows
+    /// promotion, or a fresh generation from the source (zoom tiles derive
+    /// from children — file comment).  Never returns null; rethrows
     /// generation failures.
     TilePtr get(const TileKey& key);
 
     /// Only-if-cached lookup: the RAM cache, then the L2 store (a hit is
-    /// promoted into the cache) — never generates, never remote-fills, and
-    /// records no service metrics (the cache/store keep their own).  This
+    /// promoted into the cache) — never calls the source, and records no
+    /// service metrics (the cache/store keep their own).  This
     /// is the `cached=1` wire semantic peer fill relies on to terminate:
     /// a peek can never recurse into another peer.  Returns nullptr on a
     /// miss.  Throws on invalid zoom like get().
     TilePtr peek(const TileKey& key);
-
-    /// Install (or replace) the remote-fill hook after construction — the
-    /// daemon needs the service's fingerprint to build the filler.  Not
-    /// thread-safe against in-flight get() calls: install before serving.
-    void set_remote_fill(std::function<TilePtr(const TileKey&)> fill) {
-        opt_.remote_fill = std::move(fill);
-    }
 
     /// Serve a batch, fanning cold tiles out across the pool.  Results align
     /// with `keys` (duplicates coalesce onto one generation).  If any tile's
@@ -222,8 +213,9 @@ private:
     /// one.
     TilePtr generate_or_join(const TileKey& key);
 
-    /// Produce the payload for `key`: base tiles call the source; zoom
-    /// tiles recurse through get() on their children and decimate.
+    /// Produce the payload for `key`: base tiles call the source (and are
+    /// shape-checked); zoom tiles recurse through get() on their children
+    /// and decimate.
     TilePtr generate_tile(const TileKey& key);
 
     ThreadPool& pool() const noexcept {

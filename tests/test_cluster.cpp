@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <map>
@@ -755,6 +756,49 @@ TEST(ClusterDefaults, ConcurrentWindowsThroughDefaultProxyAreNeverShed) {
 
 // ------------------------------------------------------------ peer fill
 
+/// A fresh node's scene service (cold cache, no store) whose base-tile
+/// source is a peer fill over `previous` around a local generator that
+/// counts its calls — so "no moved key regenerated" is checked directly.
+struct PeerFilledScene {
+    std::shared_ptr<std::atomic<std::size_t>> local_calls =
+        std::make_shared<std::atomic<std::size_t>>(0);
+    std::shared_ptr<TileService> service;
+};
+
+PeerFilledScene make_peer_filled_scene(std::shared_ptr<ClusterClient> previous,
+                                       const std::string& scene_name = "scene") {
+    const Scene scene = parse_scene_text(kTestScene);
+    auto gen = std::make_shared<InhomogeneousGenerator>(make_scene_generator(scene));
+    TileService::Options opt;
+    opt.shape = TileShape{32, 32};
+    opt.cache_bytes = std::size_t{16} << 20;
+    PeerFilledScene out;
+    TileSource local = local_source(
+        [gen, calls = out.local_calls](const Rect& r) {
+            ++*calls;
+            return gen->generate(r);
+        },
+        opt.shape);
+    out.service = std::make_shared<TileService>(
+        peer_fill_source(std::move(previous), "B", scene_name, gen->fingerprint(),
+                         opt.shape, std::move(local)),
+        gen->fingerprint(), opt, nullptr);
+    return out;
+}
+
+/// A previous-epoch client reporting into `registry`.
+std::shared_ptr<ClusterClient> previous_client(const Topology& previous,
+                                               obs::MetricsRegistry& registry,
+                                               int timeout_ms = 2000) {
+    ClusterOptions copt;
+    copt.timeout_ms = timeout_ms;
+    copt.connections_per_node = 2;
+    copt.breaker_open_ms = 2000;
+    copt.fanout_threads = 1;
+    copt.registry = &registry;
+    return std::make_shared<ClusterClient>(previous, copt);
+}
+
 TEST(PeerFill, ReshardServesMovedKeysFromPreviousOwnerWithoutRegeneration) {
     // Epoch 1: {A, B}.  Epoch 2: {B} — every key A owned must re-home to B.
     Shard a = boot_shard();
@@ -776,13 +820,10 @@ TEST(PeerFill, ReshardServesMovedKeysFromPreviousOwnerWithoutRegeneration) {
 
     // B is a *fresh* node (cold cache, no store) taking over the keyspace.
     obs::MetricsRegistry fill_registry;
-    PeerFillOptions fopt;
-    fopt.registry = &fill_registry;
-    auto b = make_scene_service();
-    b->set_remote_fill(make_peer_filler(previous, "B", "scene", fp,
-                                        b->shape(), fopt));
+    const PeerFilledScene b = make_peer_filled_scene(previous_client(previous, fill_registry));
+    ASSERT_EQ(b.service->fingerprint(), fp);
     for (const TileKey& key : keys) {
-        const TilePtr mine = b->get(key);
+        const TilePtr mine = b.service->get(key);
         const TilePtr theirs = a.service->get(key);
         ASSERT_EQ(mine->size(), theirs->size());
         for (std::size_t i = 0; i < mine->size(); ++i) {
@@ -790,17 +831,15 @@ TEST(PeerFill, ReshardServesMovedKeysFromPreviousOwnerWithoutRegeneration) {
                 << "peer-filled tile differs from the origin";
         }
     }
-    const MetricsSnapshot m = b->metrics();
     // The reshard acceptance property: every key A owned was served from
-    // A's cache (remote fill), every key B already owned was generated —
-    // no moved key was regenerated.
-    EXPECT_EQ(m.remote_fills, a_owned);
-    EXPECT_EQ(m.generations, keys.size() - a_owned);
+    // A's cache, every key B already owned was generated locally — no
+    // moved key was regenerated.
     EXPECT_EQ(fill_registry.counter("cluster.peer_fills").value(), a_owned);
+    EXPECT_EQ(b.local_calls->load(), keys.size() - a_owned);
     EXPECT_EQ(fill_registry.counter("cluster.peer_fill_errors").value(), 0u);
-    // Identity with the remote-fill term (service/metrics.hpp).
-    EXPECT_EQ(m.generations + m.coalesced + m.l2_promotions + m.remote_fills,
-              m.cache_misses);
+    const MetricsSnapshot m = b.service->metrics();
+    EXPECT_EQ(m.generations, keys.size());  // a peer fill is a generation
+    EXPECT_EQ(m.generations + m.coalesced + m.l2_promotions, m.cache_misses);
     a.server->stop();
 }
 
@@ -808,20 +847,16 @@ TEST(PeerFill, ColdPeerMissesFallBackToLocalGeneration) {
     Shard a = boot_shard();  // cold: nothing cached
     const Topology previous = local_fleet({{"A", a.port()}, {"B", 1}}, 1);
     obs::MetricsRegistry fill_registry;
-    PeerFillOptions fopt;
-    fopt.registry = &fill_registry;
-    auto b = make_scene_service();
-    const std::uint64_t fp = b->fingerprint();
-    b->set_remote_fill(make_peer_filler(previous, "B", "scene", fp, b->shape(),
-                                        fopt));
+    const PeerFilledScene b = make_peer_filled_scene(previous_client(previous, fill_registry));
     for (const TileKey& key : key_grid(3)) {
-        EXPECT_NE(b->get(key), nullptr);
+        EXPECT_NE(b.service->get(key), nullptr);
     }
-    const MetricsSnapshot m = b->metrics();
-    EXPECT_EQ(m.remote_fills, 0u);
-    EXPECT_EQ(m.generations, 9u);  // peer had nothing cached — all local
+    EXPECT_EQ(b.local_calls->load(), 9u);  // peer had nothing cached — all local
     EXPECT_EQ(fill_registry.counter("cluster.peer_fills").value(), 0u);
     EXPECT_GT(fill_registry.counter("cluster.peer_fill_misses").value(), 0u);
+    const MetricsSnapshot m = b.service->metrics();
+    EXPECT_EQ(m.generations, 9u);
+    EXPECT_EQ(m.generations + m.coalesced + m.l2_promotions, m.cache_misses);
     a.server->stop();
 }
 
@@ -830,37 +865,71 @@ TEST(PeerFill, UnreachablePeerDegradesToLocalGenerationSilently) {
     // swallowed, every tile still generates locally.
     const Topology previous = local_fleet({{"A", 1}, {"B", 2}}, 1);
     obs::MetricsRegistry fill_registry;
-    PeerFillOptions fopt;
-    fopt.registry = &fill_registry;
-    fopt.timeout_ms = 200;
-    auto b = make_scene_service();
-    b->set_remote_fill(make_peer_filler(previous, "B", "scene",
-                                        b->fingerprint(), b->shape(), fopt));
+    const PeerFilledScene b =
+        make_peer_filled_scene(previous_client(previous, fill_registry, 200));
     std::size_t foreign = 0;
     const ShardMap prev_map(previous);
+    const std::uint64_t fp = b.service->fingerprint();
     for (const TileKey& key : key_grid(3)) {
-        foreign += prev_map.node(prev_map.owner(b->fingerprint(), key)).name == "A"
-                       ? 1u
-                       : 0u;
-        EXPECT_NE(b->get(key), nullptr);
+        foreign += prev_map.node(prev_map.owner(fp, key)).name == "A" ? 1u : 0u;
+        EXPECT_NE(b.service->get(key), nullptr);
     }
-    const MetricsSnapshot m = b->metrics();
-    EXPECT_EQ(m.generations, 9u);
-    EXPECT_EQ(m.remote_fills, 0u);
+    EXPECT_EQ(b.local_calls->load(), 9u);
+    EXPECT_EQ(b.service->metrics().generations, 9u);
+    EXPECT_EQ(fill_registry.counter("cluster.peer_fills").value(), 0u);
     EXPECT_EQ(fill_registry.counter("cluster.peer_fill_errors").value(), foreign);
+}
+
+TEST(PeerFill, ScenesSharingOnePreviousClientKeepOneBreakerGauge) {
+    // Two scenes over one previous-epoch client: one breaker per peer, so
+    // the peer's cluster.breaker.state gauge has one writer.  Opening the
+    // breaker through one scene short-circuits the other scene's fills,
+    // and the gauge agrees with the breaker.
+    const Topology previous = local_fleet({{"A", 1}, {"B", 2}}, 1);
+    obs::MetricsRegistry fill_registry;
+    auto client = previous_client(previous, fill_registry, 200);
+    const PeerFilledScene first = make_peer_filled_scene(client, "first");
+    const PeerFilledScene second = make_peer_filled_scene(client, "second");
+    const std::size_t a = client->map().index_of("A");
+    const std::uint64_t fp = first.service->fingerprint();
+    std::vector<TileKey> a_keys;
+    for (const TileKey& key : key_grid(8)) {
+        if (client->map().owner(fp, key) == a) {
+            a_keys.push_back(key);
+        }
+    }
+    const auto failures = static_cast<std::size_t>(client->options().breaker_failures);
+    ASSERT_GT(a_keys.size(), failures + 2);
+    for (std::size_t i = 0; i < failures; ++i) {
+        EXPECT_NE(first.service->get(a_keys[i]), nullptr);
+    }
+    ASSERT_EQ(client->breaker_state(a), fault::CircuitBreaker::State::kOpen);
+    obs::Counter& requests = fill_registry.counter("cluster.node.A.requests");
+    const std::uint64_t requests_at_open = requests.value();
+    EXPECT_EQ(requests_at_open, failures);
+    for (std::size_t i = failures; i < failures + 2; ++i) {
+        EXPECT_NE(second.service->get(a_keys[i]), nullptr);
+    }
+    // The second scene's fills met the same open breaker: no new request.
+    EXPECT_EQ(requests.value(), requests_at_open);
+    EXPECT_EQ(fill_registry.gauge("cluster.breaker.state.A").value(),
+              static_cast<std::int64_t>(fault::CircuitBreaker::State::kOpen));
+    EXPECT_EQ(fill_registry.counter("cluster.peer_fill_errors").value(),
+              failures + 2);
+    EXPECT_EQ(first.local_calls->load() + second.local_calls->load(), failures + 2);
 }
 
 TEST(PeerFill, RejectsInvalidConfiguration) {
     const Topology previous = local_fleet({{"A", 1}}, 1);
-    EXPECT_THROW(
-        make_peer_filler(previous, "B", "", 1, TileShape{8, 8}),
-        ConfigError);
-    EXPECT_THROW(
-        make_peer_filler(previous, "B", "scene", 0, TileShape{8, 8}),
-        ConfigError);
-    EXPECT_THROW(
-        make_peer_filler(previous, "B", "scene", 1, TileShape{0, 8}),
-        ConfigError);
+    obs::MetricsRegistry registry;
+    auto client = previous_client(previous, registry);
+    const TileSource local = [](const TileKey&) -> TilePtr { return nullptr; };
+    EXPECT_THROW(peer_fill_source(client, "B", "", 1, TileShape{8, 8}, local),
+                 ConfigError);
+    EXPECT_THROW(peer_fill_source(client, "B", "scene", 0, TileShape{8, 8}, local),
+                 ConfigError);
+    EXPECT_THROW(peer_fill_source(client, "B", "scene", 1, TileShape{0, 8}, local),
+                 ConfigError);
 }
 
 // --------------------------------------------------------- client knobs

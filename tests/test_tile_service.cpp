@@ -253,10 +253,10 @@ TEST(TileService, CacheStaysWithinByteBudgetUnderRequestStorm) {
     TileService::Options opt;
     opt.shape = shape;
     opt.cache_bytes = 16u << 10;
-    opt.cache_shards = 4;
     ThreadPool pool(4);
     opt.pool = &pool;
-    TileService service(cheap, /*fingerprint=*/0, opt, nullptr);
+    TileService service(cheap, /*fingerprint=*/0, opt,
+                        std::make_shared<TileCache>(opt.cache_bytes, 4));
 
     std::vector<TileKey> keys;
     for (std::int64_t t = 0; t < 64; ++t) {
@@ -372,17 +372,18 @@ TEST(ServiceMetrics, SnapshotJsonIsWellFormedAndConsistent) {
 }
 
 TEST(ServiceMetrics, LatencyHistogramBucketsAreLogSpaced) {
-    EXPECT_EQ(LatencyHistogram::bucket_of(0), 0u);
-    EXPECT_EQ(LatencyHistogram::bucket_of(1), 0u);
-    EXPECT_EQ(LatencyHistogram::bucket_of(2), 1u);
-    EXPECT_EQ(LatencyHistogram::bucket_of(3), 1u);
-    EXPECT_EQ(LatencyHistogram::bucket_of(4), 2u);
-    EXPECT_EQ(LatencyHistogram::bucket_of(1024), 10u);
+    // The service's latency histogram is the generic obs one over µs.
+    using Histogram = obs::Log2Histogram;
+    EXPECT_EQ(Histogram::bucket_of(0), 0u);
+    EXPECT_EQ(Histogram::bucket_of(1), 0u);
+    EXPECT_EQ(Histogram::bucket_of(2), 1u);
+    EXPECT_EQ(Histogram::bucket_of(3), 1u);
+    EXPECT_EQ(Histogram::bucket_of(4), 2u);
+    EXPECT_EQ(Histogram::bucket_of(1024), 10u);
     // Overflow clamps to the last bucket.
-    EXPECT_EQ(LatencyHistogram::bucket_of(~std::uint64_t{0}),
-              LatencyHistogram::kBuckets - 1);
-    EXPECT_EQ(LatencyHistogram::bucket_floor_us(0), 0u);
-    EXPECT_EQ(LatencyHistogram::bucket_floor_us(10), 1024u);
+    EXPECT_EQ(Histogram::bucket_of(~std::uint64_t{0}), Histogram::kBuckets - 1);
+    EXPECT_EQ(Histogram::bucket_floor(0), 0u);
+    EXPECT_EQ(Histogram::bucket_floor(10), 1024u);
 }
 
 // --- input validation --------------------------------------------------------
@@ -419,7 +420,7 @@ TEST(TileService, DegenerateWindowIsEmpty) {
     EXPECT_EQ(m.generations, 0u);
 }
 
-// --- cluster hooks: peek & remote fill ---------------------------------------
+// --- cluster hooks: peek & wrapped sources -----------------------------------
 
 TEST(TileService, PeekNeverGeneratesAndIsMetricsNeutral) {
     auto gen = [](const Rect& r) { return stamp_tile(r, 0.0); };
@@ -442,70 +443,93 @@ TEST(TileService, PeekNeverGeneratesAndIsMetricsNeutral) {
     EXPECT_THROW((void)service.peek(TileKey{0, 0, -1}), ConfigError);
 }
 
-TEST(TileService, RemoteFillServesMovedKeysAndKeepsTheIdentity) {
+TEST(TileService, SourceWrapperServesBaseTilesAndKeepsTheLedger) {
     const TileShape shape{16, 16};
     TileService::Options opt;
     opt.shape = shape;
-    std::size_t fill_calls = 0;
-    // A "peer" that has every even-tx tile cached (payload tagged so a
-    // mis-served fill is detectable) and misses the rest.
-    opt.remote_fill = [&fill_calls, shape](const TileKey& key) -> TilePtr {
-        ++fill_calls;
+    std::size_t peer_hits = 0;
+    std::size_t local_calls = 0;
+    const TileSource local = local_source(
+        [&local_calls](const Rect& r) {
+            ++local_calls;
+            return stamp_tile(r, 0.5);
+        },
+        shape);
+    // A "peer" wrapper (the shape of cluster peer fill) that has every
+    // even-tx tile and falls back to the local source for the rest.
+    TileSource wrapped = [&peer_hits, &local, shape](const TileKey& key) -> TilePtr {
         if (key.tx % 2 != 0) {
-            return nullptr;
+            return local(key);
         }
+        ++peer_hits;
         return std::make_shared<const Array2D<double>>(
             stamp_tile(tile_rect(shape, key), 0.5));
     };
-    TileService service([](const Rect& r) { return stamp_tile(r, 0.5); },
-                        /*fingerprint=*/22, opt, nullptr);
+    TileService service(std::move(wrapped), /*fingerprint=*/22, opt, nullptr);
     for (std::int64_t tx = 0; tx < 6; ++tx) {
         const TilePtr tile = service.get(TileKey{tx, 0, 0});
         EXPECT_EQ(*tile, stamp_tile(tile_rect(shape, TileKey{tx, 0, 0}), 0.5));
     }
-    EXPECT_EQ(fill_calls, 6u);
+    EXPECT_EQ(peer_hits, 3u);    // tx 0, 2, 4 came from the "peer"
+    EXPECT_EQ(local_calls, 3u);  // tx 1, 3, 5 fell through
     const MetricsSnapshot m = service.metrics();
-    EXPECT_EQ(m.remote_fills, 3u);  // tx 0, 2, 4 came from the peer
-    EXPECT_EQ(m.generations, 3u);   // tx 1, 3, 5 fell through
-    // The miss ledger: misses == generations + coalesced + l2 + remote.
-    EXPECT_EQ(m.cache_misses,
-              m.generations + m.coalesced + m.l2_promotions + m.remote_fills);
-    // Filled tiles are cached like generated ones: a re-request is a hit
-    // and never re-consults the peer.
+    // Every source call is a generation, wherever the bytes came from.
+    EXPECT_EQ(m.generations, 6u);
+    EXPECT_EQ(m.cache_misses, m.generations + m.coalesced + m.l2_promotions);
+    // Source tiles are cached: a re-request is a hit and never re-asks.
     (void)service.get(TileKey{0, 0, 0});
-    EXPECT_EQ(fill_calls, 6u);
+    EXPECT_EQ(peer_hits, 3u);
     EXPECT_EQ(service.metrics().cache_hits, 1u);
 }
 
-TEST(TileService, WrongShapedRemoteFillIsDiscardedNotServed) {
+TEST(TileService, WrongShapedSourceTileIsRejectedNotCached) {
     TileService::Options opt;
     opt.shape = TileShape{16, 16};
-    opt.remote_fill = [](const TileKey&) -> TilePtr {
-        // A misconfigured peer serving 8×8 tiles must not poison the cache.
-        return std::make_shared<const Array2D<double>>(
-            stamp_tile(Rect{0, 0, 8, 8}, 9.0));
-    };
-    TileService service([](const Rect& r) { return stamp_tile(r, 0.0); },
-                        /*fingerprint=*/23, opt, nullptr);
-    const TilePtr tile = service.get(TileKey{0, 0, 0});
-    EXPECT_EQ(*tile, stamp_tile(Rect{0, 0, 16, 16}, 0.0));
-    const MetricsSnapshot m = service.metrics();
-    EXPECT_EQ(m.remote_fills, 0u);
+    int calls = 0;
+    TileService service(
+        [&calls](const TileKey&) -> TilePtr {
+            // A misconfigured source serving 8×8 tiles must not poison the
+            // cache.
+            ++calls;
+            return std::make_shared<const Array2D<double>>(
+                stamp_tile(Rect{0, 0, 8, 8}, 9.0));
+        },
+        /*fingerprint=*/23, opt, nullptr);
+    EXPECT_THROW((void)service.get(TileKey{0, 0, 0}), IoError);
+    MetricsSnapshot m = service.metrics();
     EXPECT_EQ(m.generations, 1u);
+    EXPECT_EQ(m.generation_failures, 1u);
+    EXPECT_EQ(m.cache_tiles, 0u);
+    EXPECT_EQ(service.peek(TileKey{0, 0, 0}), nullptr);
+    // Not cached: the next request asks the source again.
+    EXPECT_THROW((void)service.get(TileKey{0, 0, 0}), IoError);
+    EXPECT_EQ(calls, 2);
+    m = service.metrics();
+    EXPECT_EQ(m.cache_misses, m.generations + m.coalesced + m.l2_promotions);
 }
 
-TEST(TileService, SetRemoteFillInstallsTheHookAfterConstruction) {
+TEST(TileService, ZoomMissDerivesFromSourceChildren) {
+    // A z > 0 miss never reaches the source: it derives from its four
+    // children, each of which is a base-tile source call.
+    const TileShape shape{16, 16};
     TileService::Options opt;
-    opt.shape = TileShape{16, 16};
-    TileService service([](const Rect& r) { return stamp_tile(r, 0.0); },
-                        /*fingerprint=*/24, opt, nullptr);
-    service.set_remote_fill([](const TileKey& key) -> TilePtr {
-        return std::make_shared<const Array2D<double>>(
-            stamp_tile(tile_rect(TileShape{16, 16}, key), 0.0));
-    });
-    (void)service.get(TileKey{3, 3, 0});
-    EXPECT_EQ(service.metrics().remote_fills, 1u);
-    EXPECT_EQ(service.metrics().generations, 0u);
+    opt.shape = shape;
+    std::vector<TileKey> asked;
+    TileService service(
+        [&asked, shape](const TileKey& key) -> TilePtr {
+            asked.push_back(key);
+            return std::make_shared<const Array2D<double>>(
+                stamp_tile(tile_rect(shape, key), 0.0));
+        },
+        /*fingerprint=*/24, opt, nullptr);
+    (void)service.get(TileKey{3, 3, 1});
+    ASSERT_EQ(asked.size(), 4u);
+    for (const TileKey& key : asked) {
+        EXPECT_EQ(key.z, 0);
+    }
+    const MetricsSnapshot m = service.metrics();
+    EXPECT_EQ(m.generations, 5u);  // 4 base tiles + 1 derivation
+    EXPECT_EQ(m.cache_misses, m.generations + m.coalesced + m.l2_promotions);
 }
 
 // --- zoom pyramid addressing -------------------------------------------------

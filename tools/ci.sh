@@ -17,8 +17,9 @@
 #   tools/ci.sh store       # warm-restart rrsd smoke (persistent L2 tile store)
 #                           # + the store bench -> bench_out/BENCH_store.json
 #   tools/ci.sh cluster     # 3-shard fleet + routing proxy smoke (byte-identity,
-#                           # traffic spread, SIGSTOP degradation) + the capacity
-#                           # bench gate -> bench_out/BENCH_cluster.json
+#                           # traffic spread, SIGSTOP degradation, unreachable
+#                           # fleet exit 3), reshard peer-fill smoke + the
+#                           # capacity bench gate -> bench_out/BENCH_cluster.json
 #   tools/ci.sh coverage    # instrumented tier 1+2 run, merged per-module
 #                           # rates gated against tools/coverage_thresholds.json
 #
@@ -270,6 +271,9 @@ run_cluster() {
     #   * SIGSTOP of one shard flips the fleet /readyz to 503 (naming the
     #     stalled shard) and `rrsquery --cluster` exits 3 for tiles it
     #     owns while other shards keep serving; SIGCONT heals both;
+    #   * `rrsquery --cluster` over a fleet with no reachable node exits 3;
+    #   * a reshard: a cold shard peer-fills two scenes from the previous
+    #     owner, byte-identically (cluster_reshard_smoke);
     #   * the capacity bench: 3 shards must clear 2.5x one shard on a
     #     cold owner-balanced sweep -> bench_out/BENCH_cluster.json.
     build_preset release build
@@ -411,6 +415,18 @@ EOF
     fi
     echo "    readyz ok: 503 while stalled, recovered after SIGCONT"
 
+    # A fleet where no node answers discovery is unavailable (exit 3),
+    # like a refused connect — not a generic error.
+    printf 'epoch = 1\nnode gone 127.0.0.1:1\n' > "$work/gone.topo"
+    rc=0
+    build/tools/rrsquery --cluster "$work/gone.topo" '/v1/tile?tx=0&ty=0' \
+        --timeout-ms 500 > /dev/null 2>&1 || rc=$?
+    if [[ $rc -ne 3 ]]; then
+        echo "==> cluster smoke: unreachable fleet exited $rc, want 3" >&2
+        return 1
+    fi
+    echo "    discovery ok: a fleet with no reachable node exits 3"
+
     local pid
     for pid in "$proxy_pid" "${pids[@]}"; do
         kill -TERM "$pid"
@@ -424,10 +440,95 @@ EOF
         fi
     done
     rm -rf "$scene" "$work"
+    cluster_reshard_smoke
 
     echo "==> [cluster] bench cluster --quick"
     build/bench/cluster --quick --out-dir bench_out
     echo "==> [cluster] wrote bench_out/BENCH_cluster.json"
+}
+
+# Reshard peer fill, process level (DESIGN.md §17.4): shard A serves two
+# scenes and is warmed; shard B starts cold with the same two scenes and
+# `--cluster-prev` naming A as the previous epoch's only node, so every key
+# is A-owned.  B's bodies must be byte-identical to A's, and B's /metrics
+# must show every tile peer-filled, through the one previous-epoch client
+# both scenes share (one cluster.node.A.requests counter).
+cluster_reshard_smoke() {
+    echo "==> [cluster] reshard peer-fill smoke"
+    local work a_pid b_pid a_port b_port
+    work=$(mktemp -d)
+    build/tools/rrstile --example > "$work/one.rrs"
+    sed 's/^seed = .*/seed = 8/' "$work/one.rrs" > "$work/two.rrs"
+    build/tools/rrsd "one=$work/one.rrs" "two=$work/two.rrs" --port 0 \
+        --port-file "$work/port.a" --tile-size 64 --cache-mb 16 --quiet \
+        > /dev/null &
+    a_pid=$!
+    if ! wait_for_port_file "$work/port.a"; then
+        echo "==> reshard smoke: shard A never published its port" >&2
+        kill -9 "$a_pid" 2>/dev/null || true
+        return 1
+    fi
+    a_port=$(cat "$work/port.a")
+    printf 'epoch = 1\nnode A 127.0.0.1:%s\n' "$a_port" > "$work/prev.topo"
+    local -a keys=('tx=0&ty=0' 'tx=1&ty=0' 'tx=-1&ty=2' 'tx=3&ty=-2')
+    local scene key i=0
+    for scene in one two; do
+        for key in "${keys[@]}"; do
+            build/tools/rrsquery "127.0.0.1:$a_port" \
+                "/v1/tile?scene=$scene&$key&q=f64" --out "$work/a.$i" > /dev/null
+            i=$((i + 1))
+        done
+    done
+    build/tools/rrsd "one=$work/one.rrs" "two=$work/two.rrs" --port 0 \
+        --port-file "$work/port.b" --tile-size 64 --cache-mb 16 --quiet \
+        --cluster-prev "$work/prev.topo" --cluster-node B > /dev/null &
+    b_pid=$!
+    if ! wait_for_port_file "$work/port.b"; then
+        echo "==> reshard smoke: shard B never published its port" >&2
+        kill -9 "$a_pid" "$b_pid" 2>/dev/null || true
+        return 1
+    fi
+    b_port=$(cat "$work/port.b")
+    i=0
+    for scene in one two; do
+        for key in "${keys[@]}"; do
+            build/tools/rrsquery "127.0.0.1:$b_port" \
+                "/v1/tile?scene=$scene&$key&q=f64" --out "$work/b.$i" > /dev/null
+            if ! cmp -s "$work/a.$i" "$work/b.$i"; then
+                echo "==> reshard smoke: scene $scene $key differs on B" >&2
+                kill -9 "$a_pid" "$b_pid" 2>/dev/null || true
+                return 1
+            fi
+            i=$((i + 1))
+        done
+    done
+    build/tools/rrsquery "127.0.0.1:$b_port" /metrics > "$work/b.metrics"
+    python3 - "$work/b.metrics" "$i" <<'EOF'
+import json, sys
+c = json.load(open(sys.argv[1]))["counters"]
+want = int(sys.argv[2])
+fills = c.get("cluster.peer_fills", 0)
+requests = c.get("cluster.node.A.requests", 0)
+assert fills == want, f"cluster.peer_fills == {fills}, want {want}"
+assert requests == fills, f"cluster.node.A.requests == {requests} != {fills} fills"
+for k in ("cluster.peer_fill_misses", "cluster.peer_fill_errors"):
+    assert c.get(k, 0) == 0, f"{k} == {c[k]}"
+print(f"    reshard ok: {fills} tiles of 2 scenes peer-filled from A, "
+      f"byte-identical, over one client ({requests} requests to A)")
+EOF
+    local pid rc
+    for pid in "$a_pid" "$b_pid"; do
+        kill -TERM "$pid"
+    done
+    for pid in "$a_pid" "$b_pid"; do
+        rc=0
+        wait "$pid" || rc=$?
+        if [[ $rc -ne 0 ]]; then
+            echo "==> reshard smoke: pid $pid exited $rc after SIGTERM" >&2
+            return 1
+        fi
+    done
+    rm -rf "$work"
 }
 
 # Poll a --port-file path until the daemon publishes its ephemeral port
@@ -521,6 +622,19 @@ rrsd_smoke() {
     port_file=$(mktemp -u)
     out=$(mktemp)
     "$dir/tools/rrstile" --example > "$scene"
+    # Numeric flags are strict: an out-of-range or negative value is a
+    # usage error (exit 2), never a silently wrapped or defaulted one.
+    local bad rc
+    for bad in '--port 70000' '--cache-mb -1'; do
+        rc=0
+        # shellcheck disable=SC2086  # split "--flag value" on purpose
+        "$dir/tools/rrsd" "$scene" $bad --quiet > /dev/null 2>&1 || rc=$?
+        if [[ $rc -ne 2 ]]; then
+            echo "==> rrsd smoke: 'rrsd $bad' exited $rc, want 2" >&2
+            return 1
+        fi
+    done
+    echo "    flags ok: --port 70000 and --cache-mb -1 are usage errors"
     "$dir/tools/rrsd" "$scene" --port 0 --port-file "$port_file" \
         --tile-size 64 --cache-mb 16 --quiet > "$out" &
     pid=$!
@@ -538,7 +652,7 @@ rrsd_smoke() {
     "$dir/tools/rrsquery" "127.0.0.1:$port" '/v1/tile?tx=0&ty=0' --stats
     "$dir/tools/rrsquery" "127.0.0.1:$port" /metrics > /dev/null
     kill -TERM "$pid"
-    local rc=0
+    rc=0
     wait "$pid" || rc=$?
     if [[ $rc -ne 0 ]]; then
         echo "==> rrsd smoke: daemon exited $rc after SIGTERM" >&2

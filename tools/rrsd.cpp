@@ -56,7 +56,12 @@
 //                      cache+store miss, ask the key's owner under the
 //                      *previous* epoch's topology for its cached copy
 //                      (`cached=1` — the peer never generates) before
-//                      generating locally.  Both flags come together.
+//                      generating locally, through one previous-epoch
+//                      client shared by every scene.  Both flags come
+//                      together.
+//
+// Numeric values must be whole base-10 integers in range (tools/flags.hpp);
+// anything else is a usage error, exit 2.
 
 #include <csignal>
 #include <cstdint>
@@ -83,6 +88,8 @@
 #include "parallel/thread_pool.hpp"
 #include "service/tile_service.hpp"
 #include "store/tile_store.hpp"
+
+#include "flags.hpp"
 
 #include <sys/stat.h>
 
@@ -170,6 +177,10 @@ int main(int argc, char** argv) {
             }
             return argv[++i];
         };
+        auto numeric_value = [&](auto& out) {
+            const char* v = next_value(arg.c_str());
+            return v != nullptr && tools::parse_flag("rrsd", arg, v, out);
+        };
         if (arg == "--host") {
             const char* v = next_value("--host");
             if (v == nullptr) {
@@ -177,11 +188,9 @@ int main(int argc, char** argv) {
             }
             server_opt.host = v;
         } else if (arg == "--port") {
-            const char* v = next_value("--port");
-            if (v == nullptr) {
+            if (!numeric_value(server_opt.port)) {
                 return usage();
             }
-            server_opt.port = static_cast<std::uint16_t>(std::strtoul(v, nullptr, 10));
         } else if (arg == "--port-file") {
             const char* v = next_value("--port-file");
             if (v == nullptr) {
@@ -189,65 +198,47 @@ int main(int argc, char** argv) {
             }
             port_file = v;
         } else if (arg == "--tile-size") {
-            const char* v = next_value("--tile-size");
-            if (v == nullptr) {
+            if (!numeric_value(tile_size)) {
                 return usage();
             }
-            tile_size = std::strtoll(v, nullptr, 10);
         } else if (arg == "--cache-mb") {
-            const char* v = next_value("--cache-mb");
-            if (v == nullptr) {
+            if (!numeric_value(cache_mb)) {
                 return usage();
             }
-            cache_mb = std::strtoull(v, nullptr, 10);
         } else if (arg == "--gen-threads") {
-            const char* v = next_value("--gen-threads");
-            if (v == nullptr) {
+            if (!numeric_value(gen_threads)) {
                 return usage();
             }
-            gen_threads = std::strtoull(v, nullptr, 10);
         } else if (arg == "--workers") {
-            const char* v = next_value("--workers");
-            if (v == nullptr) {
+            if (!numeric_value(server_opt.workers)) {
                 return usage();
             }
-            server_opt.workers = std::strtoull(v, nullptr, 10);
         } else if (arg == "--connections") {
-            const char* v = next_value("--connections");
-            if (v == nullptr) {
+            if (!numeric_value(server_opt.max_connections)) {
                 return usage();
             }
-            server_opt.max_connections = std::strtoull(v, nullptr, 10);
         } else if (arg == "--timeout-ms") {
-            const char* v = next_value("--timeout-ms");
-            if (v == nullptr) {
+            if (!numeric_value(server_opt.read_timeout_ms)) {
                 return usage();
             }
-            server_opt.read_timeout_ms = std::atoi(v);
             server_opt.write_timeout_ms = server_opt.read_timeout_ms;
         } else if (arg == "--seed") {
-            const char* v = next_value("--seed");
-            if (v == nullptr) {
+            if (!numeric_value(seed)) {
                 return usage();
             }
             override_seed = true;
-            seed = std::strtoull(v, nullptr, 10);
         } else if (arg == "--trace") {
             trace = true;
         } else if (arg == "--quiet") {
             quiet = true;
         } else if (arg == "--breaker-failures") {
-            const char* v = next_value("--breaker-failures");
-            if (v == nullptr) {
+            if (!numeric_value(route_opt.breaker_failures)) {
                 return usage();
             }
-            route_opt.breaker_failures = std::atoi(v);
         } else if (arg == "--breaker-open-ms") {
-            const char* v = next_value("--breaker-open-ms");
-            if (v == nullptr) {
+            if (!numeric_value(route_opt.breaker_open_ms)) {
                 return usage();
             }
-            route_opt.breaker_open_ms = std::atoi(v);
         } else if (arg == "--store") {
             const char* v = next_value("--store");
             if (v == nullptr) {
@@ -255,11 +246,9 @@ int main(int argc, char** argv) {
             }
             store_dir = v;
         } else if (arg == "--store-mb") {
-            const char* v = next_value("--store-mb");
-            if (v == nullptr) {
+            if (!numeric_value(store_mb)) {
                 return usage();
             }
-            store_mb = std::strtoull(v, nullptr, 10);
         } else if (arg == "--faults") {
             const char* v = next_value("--faults");
             if (v == nullptr) {
@@ -274,11 +263,9 @@ int main(int argc, char** argv) {
             }
             cluster_file = v;
         } else if (arg == "--cluster-timeout-ms") {
-            const char* v = next_value("--cluster-timeout-ms");
-            if (v == nullptr) {
+            if (!numeric_value(cluster_timeout_ms)) {
                 return usage();
             }
-            cluster_timeout_ms = std::atoi(v);
         } else if (arg == "--cluster-prev") {
             const char* v = next_value("--cluster-prev");
             if (v == nullptr) {
@@ -370,6 +357,26 @@ int main(int argc, char** argv) {
             // server worker cannot deadlock against itself (tile_service.hpp
             // contract).
             gen_pool = std::make_unique<ThreadPool>(gen_threads);
+            // Reshard warm-up (cluster/peer_fill.hpp): one previous-epoch
+            // client per process, shared by every scene's source, so each
+            // previous owner sees one pool of at most two connections and
+            // has one circuit breaker.  The client is not used for window
+            // fan-out, hence one fan-out thread.
+            std::shared_ptr<cluster::ClusterClient> previous;
+            if (!cluster_prev_file.empty()) {
+                cluster::ClusterOptions popt;
+                popt.timeout_ms = 2000;  // a fill must stay cheap
+                popt.connections_per_node = 2;
+                popt.breaker_open_ms = 2000;
+                popt.fanout_threads = 1;
+                previous = std::make_shared<cluster::ClusterClient>(
+                    cluster::load_topology(cluster_prev_file), popt);
+                if (!quiet) {
+                    std::cerr << "rrsd: peer cache-fill armed (node '"
+                              << cluster_node << "', previous epoch "
+                              << previous->map().epoch() << ")\n";
+                }
+            }
             net::SceneServices scenes;
             for (const auto& [name, file] : scene_files) {
                 std::ifstream in(file);
@@ -383,13 +390,22 @@ int main(int argc, char** argv) {
                 }
                 auto gen = std::make_shared<InhomogeneousGenerator>(
                     make_scene_generator(scene));
+                const std::uint64_t fingerprint = gen->fingerprint();
                 TileService::Options opt;
                 opt.shape = TileShape{tile_size, tile_size};
                 opt.cache_bytes = cache_mb << 20;
                 opt.pool = gen_pool.get();
                 opt.store = tile_store;
+                TileSource source = local_source(
+                    [gen](const Rect& r) { return gen->generate(r); }, opt.shape);
+                if (previous != nullptr) {
+                    source = cluster::peer_fill_source(previous, cluster_node, name,
+                                                       fingerprint, opt.shape,
+                                                       std::move(source));
+                }
                 auto [it, inserted] = scenes.emplace(
-                    name, TileService::owning(std::move(gen), opt));
+                    name, std::make_shared<TileService>(std::move(source), fingerprint,
+                                                        opt, nullptr));
                 if (!inserted) {
                     std::cerr << "rrsd: scene name '" << name << "' used twice\n";
                     return 1;
@@ -398,23 +414,6 @@ int main(int argc, char** argv) {
                     std::cerr << "rrsd: scene '" << name << "' <- " << file
                               << " (fingerprint " << it->second->fingerprint()
                               << ")\n";
-                }
-            }
-            if (!cluster_prev_file.empty()) {
-                // Reshard warm-up: ask each key's previous-epoch owner
-                // before generating (cluster/peer_fill.hpp).  Installed
-                // before the router exists, so no request can race it.
-                const cluster::Topology prev =
-                    cluster::load_topology(cluster_prev_file);
-                for (auto& [name, service] : scenes) {
-                    service->set_remote_fill(cluster::make_peer_filler(
-                        prev, cluster_node, name, service->fingerprint(),
-                        service->shape()));
-                }
-                if (!quiet) {
-                    std::cerr << "rrsd: peer cache-fill armed (node '"
-                              << cluster_node << "', previous epoch "
-                              << prev.epoch << ")\n";
                 }
             }
             router = net::make_tile_router(std::move(scenes), nullptr, route_opt);

@@ -27,6 +27,8 @@
 #include "obs/trace.hpp"
 #include "stats/moments.hpp"
 
+#include "flags.hpp"
+
 namespace {
 
 constexpr const char* kExampleScene = R"(# Example scene: an exponential pond inside a gaussian field (paper Fig. 3).
@@ -98,7 +100,9 @@ int main(int argc, char** argv) {
             trace_path = argv[++i];
         } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
             override_seed = true;
-            seed = std::strtoull(argv[++i], nullptr, 10);
+            if (!tools::parse_flag("rrsgen", "--seed", argv[++i], seed)) {
+                return usage();
+            }
         } else if (std::strcmp(argv[i], "--health") == 0 && i + 1 < argc) {
             override_health = true;
             try {

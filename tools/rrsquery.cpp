@@ -15,7 +15,8 @@
 // (rendezvous hashing, DESIGN.md §17), zoom tiles, windows and pyramids
 // derived byte-identically to single-node serving, /readyz aggregated over
 // every shard — and anything else is asked of the first node.  An
-// unavailable shard exits 3, like a connect failure.
+// unavailable shard, or a fleet where no node answers discovery, exits 3,
+// like a connect failure.
 //
 // Prints the response body to stdout (binary surface bodies are summarised
 // unless --out or --stats asks otherwise) and exits 0 iff the response
@@ -47,7 +48,9 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "cluster/client.hpp"
@@ -57,6 +60,8 @@
 #include "net/client.hpp"
 #include "net/http.hpp"
 #include "obs/metrics.hpp"
+
+#include "flags.hpp"
 
 namespace {
 
@@ -145,8 +150,8 @@ rrs::net::ClientResponse synthesize(rrs::net::HttpResponse resp) {
 }
 
 /// Fleet-side routing for --cluster (file comment): the proxy's own router,
-/// dispatched in-process.  Errors propagate (an unavailable shard is a
-/// NodeUnavailableError, exit 3) instead of becoming status codes.
+/// dispatched in-process.  Errors propagate (an unavailable shard or fleet
+/// is an UnavailableError, exit 3) instead of becoming status codes.
 rrs::net::ClientResponse cluster_fetch(const std::string& topology_file,
                                        const std::string& target,
                                        const rrs::net::HttpClient::HeaderList& extra,
@@ -214,6 +219,10 @@ int main(int argc, char** argv) {
             }
             return argv[++i];
         };
+        auto numeric_value = [&](auto& out) {
+            const char* v = next_value(arg.c_str());
+            return v != nullptr && tools::parse_flag("rrsquery", arg, v, out);
+        };
         if (arg == "--out") {
             const char* v = next_value("--out");
             if (v == nullptr) {
@@ -237,23 +246,22 @@ int main(int argc, char** argv) {
             }
             if_none_match = v;
         } else if (arg == "--timeout-ms") {
-            const char* v = next_value("--timeout-ms");
-            if (v == nullptr) {
+            if (!numeric_value(copt.timeout_ms)) {
                 return usage();
             }
-            copt.timeout_ms = std::atoi(v);
         } else if (arg == "--retries") {
             const char* v = next_value("--retries");
-            if (v == nullptr) {
+            int retries = 0;
+            if (v == nullptr ||
+                !tools::parse_flag("rrsquery", arg, v, retries, 0,
+                                   std::numeric_limits<int>::max() - 1)) {
                 return usage();
             }
-            copt.retry.max_attempts = std::atoi(v) + 1;
+            copt.retry.max_attempts = retries + 1;
         } else if (arg == "--deadline-ms") {
-            const char* v = next_value("--deadline-ms");
-            if (v == nullptr) {
+            if (!numeric_value(copt.retry.deadline_ms)) {
                 return usage();
             }
-            copt.retry.deadline_ms = std::atoi(v);
         } else {
             std::cerr << "rrsquery: unrecognised argument '" << arg << "'\n";
             return usage();
@@ -270,8 +278,11 @@ int main(int argc, char** argv) {
             return usage();
         }
         host = host_port.substr(0, colon);
-        port = static_cast<std::uint16_t>(
-            std::strtoul(host_port.c_str() + colon + 1, nullptr, 10));
+        if (!tools::parse_int(std::string_view(host_port).substr(colon + 1), port,
+                              std::uint16_t{1})) {
+            std::cerr << "rrsquery: '" << host_port << "' has no valid port\n";
+            return usage();
+        }
     }
 
     if (!zoom.empty()) {
@@ -339,9 +350,10 @@ int main(int argc, char** argv) {
     } catch (const net::DeadlineError& e) {
         std::cerr << "rrsquery: deadline exhausted: " << e.what() << "\n";
         return 4;
-    } catch (const cluster::NodeUnavailableError& e) {
-        std::cerr << "rrsquery: shard '" << e.node() << "' unavailable: "
-                  << e.what() << "\n";
+    } catch (const UnavailableError& e) {
+        // A shard (NodeUnavailableError) or the whole fleet (discovery
+        // found no node) could not serve.
+        std::cerr << "rrsquery: unavailable: " << e.what() << "\n";
         return 3;
     } catch (const net::ConnectError& e) {
         std::cerr << "rrsquery: connect failed: " << e.what() << "\n";

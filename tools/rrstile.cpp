@@ -28,6 +28,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/error.hpp"
@@ -37,6 +38,8 @@
 #include "obs/trace.hpp"
 #include "parallel/thread_pool.hpp"
 #include "service/tile_service.hpp"
+
+#include "flags.hpp"
 
 namespace {
 
@@ -88,13 +91,9 @@ bool parse_tile_arg(const std::string& arg, rrs::TileKey& key) {
     if (comma == std::string::npos) {
         return false;
     }
-    try {
-        key.tx = std::stoll(arg.substr(0, comma));
-        key.ty = std::stoll(arg.substr(comma + 1));
-    } catch (const std::exception&) {
-        return false;
-    }
-    return true;
+    const std::string_view text(arg);
+    return rrs::tools::parse_int(text.substr(0, comma), key.tx) &&
+           rrs::tools::parse_int(text.substr(comma + 1), key.ty);
 }
 
 }  // namespace
@@ -131,38 +130,32 @@ int main(int argc, char** argv) {
             }
             return argv[++i];
         };
+        auto numeric_value = [&](auto& out) {
+            const char* v = next_value(arg.c_str());
+            return v != nullptr && tools::parse_flag("rrstile", arg, v, out);
+        };
         TileKey key;
         if (arg == "--tile-size") {
-            const char* v = next_value("--tile-size");
-            if (v == nullptr) {
+            if (!numeric_value(tile_size)) {
                 return usage();
             }
-            tile_size = std::strtoll(v, nullptr, 10);
         } else if (arg == "--cache-mb") {
-            const char* v = next_value("--cache-mb");
-            if (v == nullptr) {
+            if (!numeric_value(cache_mb)) {
                 return usage();
             }
-            cache_mb = std::strtoull(v, nullptr, 10);
         } else if (arg == "--threads") {
-            const char* v = next_value("--threads");
-            if (v == nullptr) {
+            if (!numeric_value(threads)) {
                 return usage();
             }
-            threads = std::strtoull(v, nullptr, 10);
         } else if (arg == "--repeat") {
-            const char* v = next_value("--repeat");
-            if (v == nullptr) {
+            if (!numeric_value(repeat)) {
                 return usage();
             }
-            repeat = std::atoi(v);
         } else if (arg == "--seed") {
-            const char* v = next_value("--seed");
-            if (v == nullptr) {
+            if (!numeric_value(seed)) {
                 return usage();
             }
             override_seed = true;
-            seed = std::strtoull(v, nullptr, 10);
         } else if (arg == "--out-dir") {
             const char* v = next_value("--out-dir");
             if (v == nullptr) {
