@@ -1,13 +1,16 @@
-// cluster — horizontal-scaling capacity of the sharded tile fleet
-// (DESIGN.md §17), measured end to end through the routing proxy.
+// cluster — routing concurrency of the sharded tile fleet (DESIGN.md §17),
+// measured end to end through the routing proxy.  The gate checks that the
+// proxy keeps three shards' workers busy at once; it does not measure
+// compute scaling (no CPU work is done).
 //
-// A single container core cannot demonstrate CPU-bound speedup, so the
-// harness models per-node generation capacity the same way the chaos tier
-// models failures: the process-global `tile.generate=latency:L` fault site
-// stalls every cold generation for L ms.  Sleeps overlap freely across
-// threads, so a node's capacity is (workers / L) tiles per second — exactly
-// the shape of a fleet whose nodes are CPU-bound on real kernels — and the
+// The harness models per-node generation capacity the same way the chaos
+// tier models failures: the process-global `tile.generate=latency:L` fault
+// site stalls every cold generation for L ms.  Sleeps overlap freely across
+// threads, so a node's capacity is (workers / L) tiles per second, and the
 // measured speedup is the routing/stitching stack's, not the scheduler's.
+// L and the sweep length are chosen so that each leg spans many rounds of
+// L: per-request scheduling jitter of a few ms on a loaded host is then a
+// small share of a round and cannot move the ratio across the floor.
 //
 // Legs, all loopback:
 //
@@ -26,7 +29,8 @@
 // chi-square-tested in tests/test_cluster.cpp.
 //
 // Exits non-zero unless the 3-node fleet sustains >= 2.5x the single-node
-// throughput (ideal 3.0x) with all bodies byte-identical.
+// throughput (ideal 3.0x: the proxy keeps all three fleets of workers
+// busy) with all bodies byte-identical.
 //
 //   cluster [--quick] [--out-dir DIR]
 //
@@ -115,26 +119,32 @@ std::string tile_target(const TileKey& key) {
            "&ty=" + std::to_string(key.ty);
 }
 
-/// Sweep `keys` against `port` with `concurrency` keep-alive clients pulling
-/// from a shared queue; bodies land in `bodies` aligned with `keys`.
+/// Sweep `keys` against `port` with `concurrency` keep-alive clients; bodies
+/// land in `bodies` aligned with `keys`.  The clients split into `lanes`
+/// groups: client t pulls only the keys (and warm keys) whose index is t
+/// modulo `lanes`.  The fleet leg passes one lane per shard (keys are
+/// interleaved by owner), so each shard always has exactly its workers'
+/// worth of requests in flight; with one shared queue a client that draws a
+/// key for a busy shard idles a whole latency round while another shard
+/// has a free worker, and that chance, not the routing, set the ratio.
 /// Each driver first drains `warm_keys` (untimed): on a single core, thread
 /// spawn plus 2·concurrency lazy TCP connects (driver→proxy, proxy→shard
 /// pool) cost the same order as one generation round, so the clock starts
 /// only once every connection on the path is established.  Returns wall ms
 /// of the timed phase; any non-200 aborts the harness.
 double sweep(std::uint16_t port, const std::vector<TileKey>& warm_keys,
-             const std::vector<TileKey>& keys, std::size_t concurrency,
+             const std::vector<TileKey>& keys, std::size_t concurrency, std::size_t lanes,
              std::vector<std::string>& bodies) {
     bodies.assign(keys.size(), {});
-    std::atomic<std::size_t> warm_next{0};
-    std::atomic<std::size_t> next{0};
+    std::vector<std::atomic<std::size_t>> warm_next(lanes);
+    std::vector<std::atomic<std::size_t>> next(lanes);
     std::atomic<std::size_t> ready{0};
     std::atomic<bool> go{false};
     std::atomic<bool> failed{false};
     std::vector<std::thread> drivers;
     drivers.reserve(concurrency);
     for (std::size_t t = 0; t < concurrency; ++t) {
-        drivers.emplace_back([&] {
+        drivers.emplace_back([&, lane = t % lanes] {
             rrs::net::HttpClient client("127.0.0.1", port);
             const auto fetch = [&](const TileKey& key,
                                    std::string* out) -> bool {
@@ -158,7 +168,7 @@ double sweep(std::uint16_t port, const std::vector<TileKey>& warm_keys,
                 }
             };
             while (true) {
-                const std::size_t i = warm_next.fetch_add(1);
+                const std::size_t i = lane + lanes * warm_next[lane].fetch_add(1);
                 if (i >= warm_keys.size() || failed.load()) {
                     break;
                 }
@@ -171,7 +181,7 @@ double sweep(std::uint16_t port, const std::vector<TileKey>& warm_keys,
                 std::this_thread::yield();
             }
             while (true) {
-                const std::size_t i = next.fetch_add(1);
+                const std::size_t i = lane + lanes * next[lane].fetch_add(1);
                 if (i >= keys.size() || failed.load()) {
                     return;
                 }
@@ -215,8 +225,8 @@ int main(int argc, char** argv) {
         }
     }
 
-    const int latency_ms = 15;
-    const std::size_t per_shard = quick ? 32 : 80;  // tiles owned per node
+    const int latency_ms = 50;
+    const std::size_t per_shard = quick ? 64 : 160;  // tiles owned per node
 
     // Build the fleet first: the sweep set is owner-balanced, so the keys
     // depend on the live topology's ports (names salt the hash, but the
@@ -274,7 +284,7 @@ int main(int argc, char** argv) {
     const std::vector<TileKey> warm_single(warm.begin(),
                                            warm.begin() + kWorkers);
     const double single_ms = sweep(single.server->port(), warm_single, keys,
-                                   kWorkers, reference);
+                                   kWorkers, 1, reference);
     single.server->stop();
     const double single_tps = 1000.0 * static_cast<double>(keys.size()) / single_ms;
     std::cout << "cluster: single_node " << keys.size() << " cold tiles in "
@@ -297,7 +307,7 @@ int main(int argc, char** argv) {
 
     std::vector<std::string> proxied;
     const double fleet_ms =
-        sweep(proxy.port(), warm, keys, 3 * kWorkers, proxied);
+        sweep(proxy.port(), warm, keys, 3 * kWorkers, 3, proxied);
     const double fleet_tps = 1000.0 * static_cast<double>(keys.size()) / fleet_ms;
     const double speedup = fleet_tps / single_tps;
     std::cout << "cluster: cluster_3node " << keys.size() << " cold tiles in "

@@ -1,7 +1,8 @@
-// Ablation (DESIGN.md): the inhomogeneous generator's fast path blends
-// per-region FFT-convolved fields (valid because the blending weights do
-// not depend on the kernel tap), while the reference path evaluates the
-// literal per-point blended kernel of eq. (46).
+// Ablation (DESIGN.md §1): the inhomogeneous generator's fast path blends
+// per-region convolved fields (valid because the blending weights do not
+// depend on the kernel tap): one weight pass and one shared noise field per
+// tile, each active region's engine convolving a window of it.  The
+// reference path evaluates the literal per-point blended kernel of eq. (46).
 //
 // Verifies the two agree to rounding and measures the speedup.
 

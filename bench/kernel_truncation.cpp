@@ -17,7 +17,7 @@ namespace {
 using clock_type = std::chrono::steady_clock;
 double time_direct(const rrs::ConvolutionGenerator& gen, std::int64_t n) {
     const auto t0 = clock_type::now();
-    const auto f = gen.generate_direct(rrs::Rect{0, 0, n, n});
+    const auto f = gen.generate(rrs::Rect{0, 0, n, n}, rrs::KernelEngine::kDirect);
     (void)f;
     return std::chrono::duration<double>(clock_type::now() - t0).count();
 }

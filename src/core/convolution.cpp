@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "core/validate.hpp"
@@ -54,7 +55,7 @@ std::size_t next_pow2(std::size_t n) {
 }  // namespace
 
 /// Forward r2c FFT of the wrapped kernel image at one padded size, built
-/// once per (Px, Py) and shared by all subsequent generate_fft() calls.
+/// once per (Px, Py) and shared by all subsequent FFT-engine tiles.
 struct ConvolutionGenerator::CachedKernelFft {
     std::size_t Px = 0;
     std::size_t Py = 0;
@@ -125,32 +126,54 @@ KernelEngine ConvolutionGenerator::resolved_engine() const {
     return e;
 }
 
-Array2D<double> ConvolutionGenerator::generate(const Rect& region) const {
-    RRS_TRACE_SPAN("conv.generate");
-    switch (resolved_engine()) {
-        case KernelEngine::kDirect:
-            return generate_direct(region);
-        case KernelEngine::kSeparable:
-            return generate_separable(region);
-        case KernelEngine::kFft:
-        case KernelEngine::kAuto:  // unreachable: resolved above
-            break;
-    }
-    return generate_fft(region);
+Rect ConvolutionGenerator::halo_rect(const Rect& region) const noexcept {
+    // f(n) reads X at n − d for every tap offset d in [min_d, max_d].
+    return Rect{region.x0 - kernel_.max_dx(), region.y0 - kernel_.max_dy(),
+                region.nx + kernel_.max_dx() - kernel_.min_dx(),
+                region.ny + kernel_.max_dy() - kernel_.min_dy()};
 }
 
-Array2D<double> ConvolutionGenerator::generate_direct(const Rect& region) const {
-    RRS_CHECK(!region.empty(), "ConvolutionGenerator::generate_direct",
+Array2D<double> ConvolutionGenerator::generate(const Rect& region) const {
+    return generate(region, resolved_engine());
+}
+
+Array2D<double> ConvolutionGenerator::generate(const Rect& region,
+                                               KernelEngine engine) const {
+    const Rect xrect = halo_rect(region);
+    return convolve(engine, region, noise_tile(xrect), xrect);
+}
+
+Array2D<double> ConvolutionGenerator::generate(const Rect& region, const Array2D<double>& X,
+                                               const Rect& xrect) const {
+    return convolve(resolved_engine(), region, X, xrect);
+}
+
+Array2D<double> ConvolutionGenerator::convolve(KernelEngine engine, const Rect& region,
+                                               const Array2D<double>& X,
+                                               const Rect& xrect) const {
+    RRS_TRACE_SPAN("conv.generate");
+    const Rect halo = halo_rect(region);
+    RRS_CHECK(!region.empty(), "ConvolutionGenerator::generate",
               "region must be non-empty");
+    RRS_CHECK(intersect(xrect, halo) == halo && X.nx() == static_cast<std::size_t>(xrect.nx) &&
+                  X.ny() == static_cast<std::size_t>(xrect.ny),
+              "ConvolutionGenerator::generate",
+              "the noise window must cover the region's halo and be X's shape");
+    const double* x = &X(static_cast<std::size_t>(halo.x0 - xrect.x0),
+                         static_cast<std::size_t>(halo.y0 - xrect.y0));
+    const bool separable = engine == KernelEngine::kSeparable ||
+                           (engine == KernelEngine::kAuto && factors_.has_value());
+    Array2D<double> f = engine == KernelEngine::kDirect ? convolve_direct(region, x, X.nx())
+                        : separable ? convolve_separable(region, x, X.nx())
+                                    : convolve_fft(region, x, X.nx());
+    scan_health(f, "generate");
+    return f;
+}
+
+Array2D<double> ConvolutionGenerator::convolve_direct(const Rect& region, const double* x,
+                                                      std::size_t stride) const {
     RRS_TRACE_SPAN("conv.direct");
     ConvCounters::get().count_tile(region, ConvCounters::get().direct_tiles);
-    const std::int64_t lx = halo_left_x();
-    const std::int64_t ly = halo_left_y();
-    const Rect noise_rect{region.x0 - lx, region.y0 - ly,
-                          region.nx + lx + halo_right_x(),
-                          region.ny + ly + halo_right_y()};
-    const Array2D<double> X = noise_tile(noise_rect);
-
     const auto knx = static_cast<std::int64_t>(kernel_.nx());
     const auto kny = static_cast<std::int64_t>(kernel_.ny());
     const Array2D<double>& taps = kernel_.taps();
@@ -158,46 +181,36 @@ Array2D<double> ConvolutionGenerator::generate_direct(const Rect& region) const 
     Array2D<double> f(static_cast<std::size_t>(region.nx),
                       static_cast<std::size_t>(region.ny));
     // f(x0+t) = Σ_j taps[j] · X[t + (K−1) − j]  per axis (see kernel docs);
-    // with the halo layout above, noise index (t + K−1 − j) is always valid.
+    // with X indexed from the halo's corner, (t + K−1 − j) is always valid.
     parallel_for(0, region.ny, [&](std::int64_t ty) {
         for (std::int64_t tx = 0; tx < region.nx; ++tx) {
             double acc = 0.0;
             for (std::int64_t jy = 0; jy < kny; ++jy) {
                 const auto ny_idx = static_cast<std::size_t>(ty + kny - 1 - jy);
                 const auto krow = taps.row(static_cast<std::size_t>(jy));
-                const auto xrow = X.row(ny_idx);
+                const double* xrow = x + ny_idx * stride;
                 const std::int64_t base = tx + knx - 1;
                 for (std::int64_t jx = 0; jx < knx; ++jx) {
-                    acc += krow[static_cast<std::size_t>(jx)] *
-                           xrow[static_cast<std::size_t>(base - jx)];
+                    acc += krow[static_cast<std::size_t>(jx)] * xrow[base - jx];
                 }
             }
             f(static_cast<std::size_t>(tx), static_cast<std::size_t>(ty)) = acc;
         }
     });
-    scan_health(f, "generate_direct");
     return f;
 }
 
-Array2D<double> ConvolutionGenerator::generate_separable(const Rect& region) const {
-    RRS_CHECK(!region.empty(), "ConvolutionGenerator::generate_separable",
-              "region must be non-empty");
+Array2D<double> ConvolutionGenerator::convolve_separable(const Rect& region, const double* x,
+                                                         std::size_t stride) const {
     if (!factors_.has_value()) {
         throw ConfigError{
             "separable engine requested but the kernel does not factor "
             "rank-1 (only the Gaussian family does); use engine=fft or "
             "engine=direct",
-            {"ConvolutionGenerator", "generate_separable"}};
+            {"ConvolutionGenerator", "generate"}};
     }
     RRS_TRACE_SPAN("conv.separable");
     ConvCounters::get().count_tile(region, ConvCounters::get().separable_tiles);
-
-    const std::int64_t lx = halo_left_x();
-    const std::int64_t ly = halo_left_y();
-    const std::int64_t Sx = region.nx + lx + halo_right_x();  // = nx + Kx − 1
-    const std::int64_t Sy = region.ny + ly + halo_right_y();  // = ny + Ky − 1
-    Array2D<double> X(static_cast<std::size_t>(Sx), static_cast<std::size_t>(Sy));
-    lattice_.fill(Rect{region.x0 - lx, region.y0 - ly, Sx, Sy}, X);
 
     // taps = fx⊗fy turns eq. (36) into two 1-D passes:
     //   H(t, s)  = Σ_u fx[Kx−1−u] · X(t+u, s)        (horizontal, dot)
@@ -208,19 +221,14 @@ Array2D<double> ConvolutionGenerator::generate_separable(const Rect& region) con
     // absolute lattice coordinates).
     const std::size_t knx = kernel_.nx();
     const std::size_t kny = kernel_.ny();
-    std::vector<double> gx(knx);
-    std::vector<double> gy(kny);
-    for (std::size_t u = 0; u < knx; ++u) {
-        gx[u] = factors_->fx[knx - 1 - u];
-    }
-    for (std::size_t v = 0; v < kny; ++v) {
-        gy[v] = factors_->fy[kny - 1 - v];
-    }
+    const std::vector<double> gx(factors_->fx.rbegin(), factors_->fx.rend());
+    const std::vector<double> gy(factors_->fy.rbegin(), factors_->fy.rend());
 
+    const std::int64_t Sy = region.ny + static_cast<std::int64_t>(kny) - 1;
     Array2D<double> H(static_cast<std::size_t>(region.nx),
                       static_cast<std::size_t>(Sy));
     parallel_for(0, Sy, [&](std::int64_t sy) {
-        const double* xrow = X.row(static_cast<std::size_t>(sy)).data();
+        const double* xrow = x + static_cast<std::size_t>(sy) * stride;
         double* hrow = H.row(static_cast<std::size_t>(sy)).data();
         for (std::int64_t tx = 0; tx < region.nx; ++tx) {
             hrow[static_cast<std::size_t>(tx)] =
@@ -238,7 +246,6 @@ Array2D<double> ConvolutionGenerator::generate_separable(const Rect& region) con
             simd::axpy(frow, hrow, gy[v], static_cast<std::size_t>(region.nx));
         }
     });
-    scan_health(f, "generate_separable");
     return f;
 }
 
@@ -260,42 +267,38 @@ const ConvolutionGenerator::CachedKernelFft& ConvolutionGenerator::kernel_fft(
     return *it->second;
 }
 
-Array2D<double> ConvolutionGenerator::generate_fft(const Rect& region) const {
-    RRS_CHECK(!region.empty(), "ConvolutionGenerator::generate_fft",
-              "region must be non-empty");
+Array2D<double> ConvolutionGenerator::convolve_fft(const Rect& region, const double* x,
+                                                   std::size_t stride) const {
     RRS_TRACE_SPAN("conv.fft");
     ConvCounters::get().count_tile(region, ConvCounters::get().fft_tiles);
-    const std::int64_t lx = halo_left_x();
-    const std::int64_t ly = halo_left_y();
-    const std::int64_t Sx = region.nx + lx + halo_right_x();
-    const std::int64_t Sy = region.ny + ly + halo_right_y();
-    const std::size_t Px = next_pow2(static_cast<std::size_t>(Sx));
-    const std::size_t Py = next_pow2(static_cast<std::size_t>(Sy));
+    const std::size_t Sx = static_cast<std::size_t>(region.nx) + kernel_.nx() - 1;
+    const std::size_t Sy = static_cast<std::size_t>(region.ny) + kernel_.ny() - 1;
+    const std::size_t Px = next_pow2(Sx);
+    const std::size_t Py = next_pow2(Sy);
 
     const CachedKernelFft& kfft = kernel_fft(Px, Py);
     const auto plan = rfft2d_plan(Px, Py);
 
-    // Real noise image, zero-padded to (Px, Py), through the r2c path.
-    Array2D<double> noise(Px, Py, 0.0);
-    lattice_.fill(Rect{region.x0 - lx, region.y0 - ly, Sx, Sy}, noise);
-
+    // Real noise image, zero-padded to (Px, Py), through the r2c path; the
+    // inverse writes the convolution back into the same buffer.
+    Array2D<double> buf(Px, Py, 0.0);
+    for (std::size_t sy = 0; sy < Sy; ++sy) {
+        std::copy_n(x + sy * stride, Sx, buf.row(sy).data());
+    }
     Array2D<cplx> spec;
-    plan->forward(noise, spec);
+    plan->forward(buf, spec);
     simd::cmul(spec.data(), kfft.spectrum.data(), spec.size());
-    Array2D<double> conv;
-    plan->inverse(spec, conv);
+    plan->inverse(std::move(spec), buf);
 
     // out[i] = Σ_d tap(d)·noise[i−d]; valid (wrap-free) outputs start at the
     // left halo.  f(x0+t) = out[t + halo_left].
+    const auto lx = static_cast<std::size_t>(kernel_.max_dx());
+    const auto ly = static_cast<std::size_t>(kernel_.max_dy());
     Array2D<double> f(static_cast<std::size_t>(region.nx),
                       static_cast<std::size_t>(region.ny));
-    for (std::int64_t ty = 0; ty < region.ny; ++ty) {
-        for (std::int64_t tx = 0; tx < region.nx; ++tx) {
-            f(static_cast<std::size_t>(tx), static_cast<std::size_t>(ty)) =
-                conv(static_cast<std::size_t>(tx + lx), static_cast<std::size_t>(ty + ly));
-        }
+    for (std::size_t ty = 0; ty < f.ny(); ++ty) {
+        std::copy_n(&buf(lx, ty + ly), f.nx(), f.row(ty).data());
     }
-    scan_health(f, "generate_fft");
     return f;
 }
 

@@ -11,15 +11,17 @@
 /// computations" claim deterministically.
 ///
 /// Three engines compute the same sums (engine.hpp, DESIGN.md §15):
-///  * generate_direct()    — the literal tap-sum of eq. (36), O(N²·K²);
-///                           the reference every other engine is tested
-///                           against.
-///  * generate_fft()       — circular convolution on a pow2-padded tile via
-///                           the real-input FFT, O(P² log P).
-///  * generate_separable() — two SIMD 1-D passes over the noise halo for
-///                           rank-1 kernels (the Gaussian family),
-///                           O(N²·(Kx+Ky)).
-/// `generate()` dispatches on the configured engine (kAuto → separable
+///  * kDirect    — the literal tap-sum of eq. (36), O(N²·K²); the
+///                 reference every other engine is tested against.
+///  * kFft       — circular convolution on a pow2-padded tile via the
+///                 real-input FFT, O(P² log P).
+///  * kSeparable — two SIMD 1-D passes over the noise halo for rank-1
+///                 kernels (the Gaussian family), O(N²·(Kx+Ky)).
+/// Every engine reads X from a caller-supplied field that covers
+/// halo_rect(region): `generate(region)` and `generate(region, engine)`
+/// fill that halo once, and `generate(region, X, xrect)` convolves a window
+/// of a field the caller already holds — the inhomogeneous generator's one
+/// shared X per tile.  The engine is the configured one (kAuto → separable
 /// when the kernel factors, else FFT), overridable per call by the
 /// RRS_KERNEL_ENGINE environment variable.
 
@@ -61,18 +63,25 @@ public:
     /// each engine is individually bit-deterministic (DESIGN.md §15).
     Array2D<double> generate(const Rect& region) const;
 
-    /// Literal eq. (36) tap sums — the reference engine.
-    Array2D<double> generate_direct(const Rect& region) const;
+    /// The same sums through an explicit engine (kAuto → separable when the
+    /// kernel factors, else FFT); the environment override does not apply.
+    /// Throws ConfigError for kSeparable when the kernel does not factor.
+    Array2D<double> generate(const Rect& region, KernelEngine engine) const;
 
-    /// Padded circular convolution through the real-input FFT.
-    Array2D<double> generate_fft(const Rect& region) const;
+    /// generate(region) over a noise field the caller filled: `X` holds the
+    /// lattice noise over `xrect`, which must cover halo_rect(region).
+    /// Bit-identical to generate(region) whatever the window's size or
+    /// offset.  Throws ConfigError when `xrect` misses part of the halo or
+    /// X's shape is not xrect's.
+    Array2D<double> generate(const Rect& region, const Array2D<double>& X,
+                             const Rect& xrect) const;
 
-    /// Two 1-D passes over the noise halo (horizontal dot products, then a
-    /// vertical row accumulation), SIMD inner loops.  Throws ConfigError
-    /// when the kernel is not separable (separable_available() is false).
-    Array2D<double> generate_separable(const Rect& region) const;
+    /// The noise window eq. (36) reads for `region`: the region grown by the
+    /// kernel's reach on each side (asymmetric for even kernel sizes).
+    Rect halo_rect(const Rect& region) const noexcept;
 
-    /// The white-noise field X over `region` (mostly for tests/diagnostics).
+    /// The white-noise field X over `region`, as generate(region, X, xrect)
+    /// reads it.
     Array2D<double> noise_tile(const Rect& region) const;
 
     /// Engine configured on this generator (kAuto until set).
@@ -83,7 +92,7 @@ public:
     /// first, then the configured engine, with kAuto resolving to separable
     /// when the kernel factors and FFT otherwise.  Throws ConfigError on a
     /// malformed override; an explicit separable demand on a non-separable
-    /// kernel throws from generate_separable() itself.
+    /// kernel throws from generate() itself.
     KernelEngine resolved_engine() const;
 
     /// True when the kernel admits the separable engine (rank-1 within
@@ -108,11 +117,15 @@ public:
 private:
     struct CachedKernelFft;
 
-    /// Noise halo the kernel needs on each side of the output rect.
-    std::int64_t halo_left_x() const noexcept { return kernel_.max_dx(); }
-    std::int64_t halo_right_x() const noexcept { return -kernel_.min_dx(); }
-    std::int64_t halo_left_y() const noexcept { return kernel_.max_dy(); }
-    std::int64_t halo_right_y() const noexcept { return -kernel_.min_dy(); }
+    /// Check that X over `xrect` covers halo_rect(region), then dispatch to
+    /// the engine bodies, which read that window: `x` is its top-left value
+    /// and `stride` X's row length.
+    Array2D<double> convolve(KernelEngine engine, const Rect& region,
+                             const Array2D<double>& X, const Rect& xrect) const;
+    Array2D<double> convolve_direct(const Rect& region, const double* x, std::size_t stride) const;
+    Array2D<double> convolve_fft(const Rect& region, const double* x, std::size_t stride) const;
+    Array2D<double> convolve_separable(const Rect& region, const double* x,
+                                       std::size_t stride) const;
 
     const CachedKernelFft& kernel_fft(std::size_t Px, std::size_t Py) const;
     void scan_health(const Array2D<double>& f, const char* where) const;

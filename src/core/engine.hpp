@@ -14,7 +14,7 @@
 ///   3. `kAuto`: separable when the kernel factors rank-1, else FFT.
 ///
 /// The differential-equivalence suite (tests/test_kernel_equivalence.cpp)
-/// bounds every engine against `generate_direct()`; DESIGN.md §15 states
+/// bounds every engine against the kDirect engine; DESIGN.md §15 states
 /// the exact bit-exactness contract.
 
 #include <optional>

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <mutex>
+#include <vector>
 
 #include "core/validate.hpp"
 #include "obs/metrics.hpp"
@@ -51,23 +53,29 @@ std::uint64_t InhomogeneousGenerator::fingerprint() const noexcept {
     return h == 0 ? 1 : h;
 }
 
+template <typename Fn>
+void InhomogeneousGenerator::for_each_weights(const Rect& region, Fn&& fn) const {
+    const std::size_t M = map_->region_count();
+    parallel_for(0, region.ny, [&](std::int64_t ty) {
+        std::vector<double> g(M);
+        const double y = y_of(region.y0 + ty);
+        for (std::int64_t tx = 0; tx < region.nx; ++tx) {
+            map_->weights_at(x_of(region.x0 + tx), y, g);
+            fn(static_cast<std::size_t>(tx), static_cast<std::size_t>(ty), g);
+        }
+    });
+}
+
 Array2D<double> InhomogeneousGenerator::blend_weights(const Rect& region,
                                                       std::size_t m) const {
     if (m >= map_->region_count()) {
         throw BoundsError{"blend_weights: region index"};
     }
     RRS_TRACE_SPAN("inhom.weights");
-    const std::size_t M = map_->region_count();
     Array2D<double> gm(static_cast<std::size_t>(region.nx),
                        static_cast<std::size_t>(region.ny));
-    parallel_for(0, region.ny, [&](std::int64_t ty) {
-        std::vector<double> g(M);
-        const double y = y_of(region.y0 + ty);
-        for (std::int64_t tx = 0; tx < region.nx; ++tx) {
-            map_->weights_at(x_of(region.x0 + tx), y, g);
-            gm(static_cast<std::size_t>(tx), static_cast<std::size_t>(ty)) = g[m];
-        }
-    });
+    for_each_weights(region,
+                     [&](std::size_t tx, std::size_t ty, const auto& g) { gm(tx, ty) = g[m]; });
     return gm;
 }
 
@@ -80,17 +88,37 @@ Array2D<double> InhomogeneousGenerator::generate(const Rect& region) const {
     tiles.add();
     points.add(static_cast<std::uint64_t>(region.nx * region.ny));
     const std::size_t M = map_->region_count();
-    Array2D<double> out(static_cast<std::size_t>(region.nx),
-                        static_cast<std::size_t>(region.ny), 0.0);
+    const auto nx = static_cast<std::size_t>(region.nx);
+    const auto ny = static_cast<std::size_t>(region.ny);
 
+    // A weight plane exists only for a region with support in the tile, so
+    // an interior tile holds one plane, not M.
+    std::vector<Array2D<double>> weights(M);
+    std::vector<std::once_flag> supported(M);
+    {
+        RRS_TRACE_SPAN("inhom.weights");
+        for_each_weights(region, [&](std::size_t tx, std::size_t ty, const auto& g) {
+            for (std::size_t m = 0; m < M; ++m) {
+                if (g[m] > 0.0) {
+                    std::call_once(supported[m], [&] { weights[m].resize(nx, ny); });
+                    weights[m](tx, ty) = g[m];
+                }
+            }
+        });
+    }
+
+    // Bounding box of g_m > 0 — the only rows/cols that need field m — and
+    // the one noise window covering the halos of every such box.
+    std::vector<Rect> subs(M);
+    Rect xrect;
     for (std::size_t m = 0; m < M; ++m) {
-        const Array2D<double> gm = blend_weights(region, m);
-
-        // Bounding box of gm > 0 — the only rows/cols that need field m.
+        if (weights[m].empty()) {
+            continue;  // region m has no support inside `region`
+        }
         std::int64_t bx0 = region.nx, bx1 = -1, by0 = region.ny, by1 = -1;
         for (std::int64_t ty = 0; ty < region.ny; ++ty) {
             for (std::int64_t tx = 0; tx < region.nx; ++tx) {
-                if (gm(static_cast<std::size_t>(tx), static_cast<std::size_t>(ty)) > 0.0) {
+                if (weights[m](static_cast<std::size_t>(tx), static_cast<std::size_t>(ty)) > 0.0) {
                     bx0 = std::min(bx0, tx);
                     bx1 = std::max(bx1, tx);
                     by0 = std::min(by0, ty);
@@ -98,17 +126,27 @@ Array2D<double> InhomogeneousGenerator::generate(const Rect& region) const {
                 }
             }
         }
-        if (bx1 < bx0) {
-            continue;  // region m has no support inside `region`
+        subs[m] = Rect{region.x0 + bx0, region.y0 + by0, bx1 - bx0 + 1, by1 - by0 + 1};
+        const Rect halo = generators_[m].halo_rect(subs[m]);
+        xrect = xrect.empty() ? halo : hull(xrect, halo);
+    }
+
+    Array2D<double> out(nx, ny, 0.0);
+    const Array2D<double> X =
+        xrect.empty() ? Array2D<double>{} : generators_.front().noise_tile(xrect);
+    for (std::size_t m = 0; m < M; ++m) {
+        if (subs[m].empty()) {
+            continue;
         }
-        const Rect sub{region.x0 + bx0, region.y0 + by0, bx1 - bx0 + 1, by1 - by0 + 1};
-        const Array2D<double> fm = generators_[m].generate(sub);
+        const Array2D<double> fm = generators_[m].generate(subs[m], X, xrect);
+        const std::int64_t bx0 = subs[m].x0 - region.x0;
+        const std::int64_t by0 = subs[m].y0 - region.y0;
 
         RRS_TRACE_SPAN("inhom.blend");
-        parallel_for(by0, by1 + 1, [&](std::int64_t ty) {
-            for (std::int64_t tx = bx0; tx <= bx1; ++tx) {
+        parallel_for(by0, by0 + subs[m].ny, [&](std::int64_t ty) {
+            for (std::int64_t tx = bx0; tx < bx0 + subs[m].nx; ++tx) {
                 const double g =
-                    gm(static_cast<std::size_t>(tx), static_cast<std::size_t>(ty));
+                    weights[m](static_cast<std::size_t>(tx), static_cast<std::size_t>(ty));
                 if (g > 0.0) {
                     out(static_cast<std::size_t>(tx), static_cast<std::size_t>(ty)) +=
                         g * fm(static_cast<std::size_t>(tx - bx0),
@@ -131,44 +169,36 @@ Array2D<double> InhomogeneousGenerator::generate_reference(const Rect& region) c
               "region must be non-empty");
     const std::size_t M = map_->region_count();
     // Common halo covering every kernel's support.
-    std::int64_t lx = 0, rx = 0, ly = 0, ry = 0;
-    for (const auto& k : kernels_) {
-        lx = std::max(lx, static_cast<std::int64_t>(k.max_dx()));
-        rx = std::max(rx, -static_cast<std::int64_t>(k.min_dx()));
-        ly = std::max(ly, static_cast<std::int64_t>(k.max_dy()));
-        ry = std::max(ry, -static_cast<std::int64_t>(k.min_dy()));
+    Rect xrect = generators_.front().halo_rect(region);
+    for (const auto& gen : generators_) {
+        xrect = hull(xrect, gen.halo_rect(region));
     }
-    const Rect noise_rect{region.x0 - lx, region.y0 - ly, region.nx + lx + rx,
-                          region.ny + ly + ry};
-    const Array2D<double> X = generators_.front().noise_tile(noise_rect);
+    const Array2D<double> X = generators_.front().noise_tile(xrect);
+    const std::int64_t lx = region.x0 - xrect.x0;
+    const std::int64_t ly = region.y0 - xrect.y0;
 
     Array2D<double> out(static_cast<std::size_t>(region.nx),
                         static_cast<std::size_t>(region.ny));
-    parallel_for(0, region.ny, [&](std::int64_t ty) {
-        std::vector<double> g(M);
-        const double y = y_of(region.y0 + ty);
-        for (std::int64_t tx = 0; tx < region.nx; ++tx) {
-            map_->weights_at(x_of(region.x0 + tx), y, g);
-            double acc = 0.0;
-            // Literal eq. (46): blended kernel, then eq. (36) tap sums.
-            for (std::size_t m = 0; m < M; ++m) {
-                if (g[m] <= 0.0) {
-                    continue;
-                }
-                const ConvolutionKernel& k = kernels_[m];
-                double fm = 0.0;
-                for (std::ptrdiff_t dy = k.min_dy(); dy <= k.max_dy(); ++dy) {
-                    for (std::ptrdiff_t dx = k.min_dx(); dx <= k.max_dx(); ++dx) {
-                        const std::int64_t sx = tx + lx - dx;
-                        const std::int64_t sy = ty + ly - dy;
-                        fm += k.tap(dx, dy) * X(static_cast<std::size_t>(sx),
-                                                static_cast<std::size_t>(sy));
-                    }
-                }
-                acc += g[m] * fm;
+    for_each_weights(region, [&](std::size_t tx, std::size_t ty, const auto& g) {
+        double acc = 0.0;
+        // Literal eq. (46): blended kernel, then eq. (36) tap sums.
+        for (std::size_t m = 0; m < M; ++m) {
+            if (g[m] <= 0.0) {
+                continue;
             }
-            out(static_cast<std::size_t>(tx), static_cast<std::size_t>(ty)) = acc;
+            const ConvolutionKernel& k = kernels_[m];
+            double fm = 0.0;
+            for (std::ptrdiff_t dy = k.min_dy(); dy <= k.max_dy(); ++dy) {
+                for (std::ptrdiff_t dx = k.min_dx(); dx <= k.max_dx(); ++dx) {
+                    const std::int64_t sx = static_cast<std::int64_t>(tx) + lx - dx;
+                    const std::int64_t sy = static_cast<std::int64_t>(ty) + ly - dy;
+                    fm += k.tap(dx, dy) * X(static_cast<std::size_t>(sx),
+                                            static_cast<std::size_t>(sy));
+                }
+            }
+            acc += g[m] * fm;
         }
+        out(tx, ty) = acc;
     });
     return out;
 }

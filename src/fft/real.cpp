@@ -120,7 +120,7 @@ void Rfft2D::forward(const Array2D<double>& in, Array2D<cplx>& spectrum) const {
                         });
 }
 
-void Rfft2D::inverse(const Array2D<cplx>& spectrum, Array2D<double>& out) const {
+void Rfft2D::inverse(Array2D<cplx> spectrum, Array2D<double>& out) const {
     const std::size_t sx = spectrum_nx();
     if (spectrum.nx() != sx || spectrum.ny() != ny_) {
         throw ConfigError{"Rfft2D::inverse: shape mismatch"};
@@ -129,29 +129,30 @@ void Rfft2D::inverse(const Array2D<cplx>& spectrum, Array2D<double>& out) const 
     static obs::Counter& inverses =
         obs::MetricsRegistry::global().counter("fft.inverse");
     inverses.add();
-    Array2D<cplx> work = spectrum;
     parallel_for_chunks(0, static_cast<std::int64_t>(sx),
                         [&](std::int64_t lo, std::int64_t hi) {
                             std::vector<cplx> col(ny_);
                             for (std::int64_t sxk = lo; sxk < hi; ++sxk) {
                                 const auto k = static_cast<std::size_t>(sxk);
                                 for (std::size_t iy = 0; iy < ny_; ++iy) {
-                                    col[iy] = work(k, iy);
+                                    col[iy] = spectrum(k, iy);
                                 }
                                 col_plan_->inverse(col);
                                 for (std::size_t iy = 0; iy < ny_; ++iy) {
-                                    work(k, iy) = col[iy];
+                                    spectrum(k, iy) = col[iy];
                                 }
                             }
                         });
-    out.resize(nx_, ny_);
+    if (out.nx() != nx_ || out.ny() != ny_) {
+        out.resize(nx_, ny_);
+    }
     parallel_for_chunks(0, static_cast<std::int64_t>(ny_),
                         [&](std::int64_t lo, std::int64_t hi) {
                             std::vector<cplx> in_row(sx);
                             for (std::int64_t sy = lo; sy < hi; ++sy) {
                                 const auto iy = static_cast<std::size_t>(sy);
                                 for (std::size_t k = 0; k < sx; ++k) {
-                                    in_row[k] = work(k, iy);
+                                    in_row[k] = spectrum(k, iy);
                                 }
                                 row_plan_.inverse(in_row, out.row(iy));
                             }

@@ -9,6 +9,10 @@
 /// Layout: the forward transform stores the non-redundant half-spectrum,
 /// bins 0..N/2 (N/2+1 complex values); the full spectrum follows from
 /// Hermitian symmetry X_{N−k} = conj(X_k).
+///
+/// The 2-D inverse consumes its spectrum: it runs the column transforms in
+/// the caller's buffer (moved in), so a convolution holds the padded real
+/// image and one half-spectrum, never a second spectrum or result buffer.
 
 #include <complex>
 #include <memory>
@@ -54,8 +58,10 @@ public:
     /// Forward r2c; `spectrum` is resized to (Nx/2+1) × Ny.
     void forward(const Array2D<double>& in, Array2D<cplx>& spectrum) const;
 
-    /// Inverse c2r; `out` is resized to Nx × Ny.  Includes 1/(Nx·Ny).
-    void inverse(const Array2D<cplx>& spectrum, Array2D<double>& out) const;
+    /// Inverse c2r.  Transforms `spectrum` in place (move it in to avoid a
+    /// copy); `out` is resized to Nx × Ny unless it has that shape already,
+    /// and every element is overwritten.  Includes 1/(Nx·Ny).
+    void inverse(Array2D<cplx> spectrum, Array2D<double>& out) const;
 
 private:
     std::size_t nx_;

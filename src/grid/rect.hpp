@@ -46,4 +46,12 @@ inline Rect dilate(const Rect& r, std::int64_t rx, std::int64_t ry) noexcept {
     return Rect{r.x0 - rx, r.y0 - ry, r.nx + 2 * rx, r.ny + 2 * ry};
 }
 
+/// Smallest rectangle containing both `a` and `b` (one noise window that
+/// covers several convolution halos).
+inline Rect hull(const Rect& a, const Rect& b) noexcept {
+    const std::int64_t x0 = std::min(a.x0, b.x0);
+    const std::int64_t y0 = std::min(a.y0, b.y0);
+    return Rect{x0, y0, std::max(a.x1(), b.x1()) - x0, std::max(a.y1(), b.y1()) - y0};
+}
+
 }  // namespace rrs

@@ -28,8 +28,8 @@ ConvolutionGenerator make_gen(SpectrumPtr s, std::uint64_t seed, double eps = 1e
 TEST(Convolution, DirectAndFftEnginesAgree) {
     const auto gen = make_gen(make_gaussian({1.0, 8.0, 8.0}), 11);
     for (const Rect r : {Rect{0, 0, 40, 40}, Rect{-17, 23, 31, 19}, Rect{5, -60, 64, 8}}) {
-        const auto a = gen.generate_fft(r);
-        const auto b = gen.generate_direct(r);
+        const auto a = gen.generate(r, KernelEngine::kFft);
+        const auto b = gen.generate(r, KernelEngine::kDirect);
         EXPECT_LT(max_abs_diff(a, b), 1e-10)
             << "rect " << r.x0 << "," << r.y0 << " " << r.nx << "x" << r.ny;
     }
@@ -42,7 +42,9 @@ TEST(Convolution, EnginesAgreeForAnisotropicEvenKernel) {
     ConvolutionGenerator gen(ConvolutionKernel::build(*s, GridSpec::unit_spacing(64, 64)),
                              3);
     const Rect r{-9, 4, 25, 33};
-    EXPECT_LT(max_abs_diff(gen.generate_fft(r), gen.generate_direct(r)), 1e-10);
+    EXPECT_LT(max_abs_diff(gen.generate(r, KernelEngine::kFft),
+                           gen.generate(r, KernelEngine::kDirect)),
+              1e-10);
 }
 
 TEST(Convolution, OverlappingRegionsAgreeExactly) {
@@ -64,6 +66,51 @@ TEST(Convolution, OverlappingRegionsAgreeExactly) {
         }
     }
     EXPECT_LT(md, 1e-10);
+}
+
+TEST(Convolution, EnginesReadACallerSuppliedNoiseWindow) {
+    // Each engine convolves a window of a larger, offset X bit-identically
+    // to the halo it fills itself; the even (untruncated) kernel has an
+    // asymmetric halo.
+    const auto s = make_gaussian({1.0, 3.0, 5.0});
+    const GridSpec grid = GridSpec::unit_spacing(32, 32);
+    for (const bool truncate : {true, false}) {
+        ConvolutionGenerator gen(truncate ? ConvolutionKernel::build_truncated(*s, grid, 1e-8)
+                                          : ConvolutionKernel::build(*s, grid),
+                                 17);
+        ASSERT_TRUE(gen.separable_available());
+        const Rect r{-7, 3, 19, 11};
+        const Rect halo = gen.halo_rect(r);
+        EXPECT_EQ(halo.nx, r.nx + static_cast<std::int64_t>(gen.kernel().nx()) - 1);
+        EXPECT_EQ(halo.ny, r.ny + static_cast<std::int64_t>(gen.kernel().ny()) - 1);
+        const Rect xrect{halo.x0 - 5, halo.y0 - 2, halo.nx + 9, halo.ny + 4};
+        const auto X = gen.noise_tile(xrect);
+        for (const KernelEngine e :
+             {KernelEngine::kDirect, KernelEngine::kFft, KernelEngine::kSeparable}) {
+            gen.set_engine(e);
+            EXPECT_EQ(gen.generate(r, X, xrect), gen.generate(r, e))
+                << kernel_engine_name(e) << " truncated=" << truncate;
+        }
+    }
+}
+
+TEST(Convolution, NoiseWindowMustCoverTheHaloAndMatchItsField) {
+    const auto gen = make_gen(make_gaussian({1.0, 5.0, 5.0}), 3);
+    const Rect r{2, -4, 9, 7};
+    const Rect h = gen.halo_rect(r);
+    EXPECT_EQ(gen.generate(r, gen.noise_tile(h), h), gen.generate(r));
+    // One point short on the left, right, bottom and top.
+    const Rect short_windows[] = {{h.x0 + 1, h.y0, h.nx - 1, h.ny},
+                                  {h.x0, h.y0, h.nx - 1, h.ny},
+                                  {h.x0, h.y0 + 1, h.nx, h.ny - 1},
+                                  {h.x0, h.y0, h.nx, h.ny - 1}};
+    for (const Rect& w : short_windows) {
+        EXPECT_THROW(gen.generate(r, gen.noise_tile(w), w), ConfigError)
+            << w.x0 << "," << w.y0 << " " << w.nx << "x" << w.ny;
+    }
+    // A window that covers the halo but is not the field's shape.
+    EXPECT_THROW(gen.generate(r, gen.noise_tile(h), dilate(h, 1, 0)), ConfigError);
+    EXPECT_THROW(gen.generate(r, gen.noise_tile(dilate(h, 0, 1)), h), ConfigError);
 }
 
 TEST(Convolution, DeterministicInSeed) {
@@ -90,7 +137,7 @@ TEST(Convolution, NoiseTileMatchesLattice) {
 TEST(Convolution, EmptyRegionThrows) {
     const auto gen = make_gen(make_gaussian({1.0, 5.0, 5.0}), 1);
     EXPECT_THROW(gen.generate(Rect{0, 0, 0, 5}), std::invalid_argument);
-    EXPECT_THROW(gen.generate_direct(Rect{0, 0, 5, 0}), std::invalid_argument);
+    EXPECT_THROW(gen.generate(Rect{0, 0, 5, 0}, KernelEngine::kDirect), std::invalid_argument);
     EXPECT_THROW(gen.noise_tile(Rect{0, 0, -1, 5}), std::invalid_argument);
 }
 
@@ -202,13 +249,13 @@ TEST(Convolution, BitIdenticalAcrossThreadCounts) {
         {
             const ThreadCountGuard one(1);
             fft1 = gen.generate(r);
-            direct1 = gen.generate_direct(r);
+            direct1 = gen.generate(r, KernelEngine::kDirect);
         }
         for (const int threads : {2, 5}) {
             const ThreadCountGuard many(threads);
             EXPECT_EQ(gen.generate(r), fft1)
                 << "fft engine, " << threads << " threads, rect " << r.nx << "x" << r.ny;
-            EXPECT_EQ(gen.generate_direct(r), direct1)
+            EXPECT_EQ(gen.generate(r, KernelEngine::kDirect), direct1)
                 << "direct engine, " << threads << " threads, rect " << r.nx << "x"
                 << r.ny;
         }
@@ -233,7 +280,8 @@ TEST(Convolution, TruncatedKernelsStayDeterministicAcrossThreadCounts) {
         const ThreadCountGuard many(4);
         EXPECT_EQ(gen.generate(r), base) << "eps=" << eps;
         // And the engines still agree on the truncated kernel.
-        EXPECT_LT(max_abs_diff(gen.generate_direct(r), base), 1e-10) << "eps=" << eps;
+        EXPECT_LT(max_abs_diff(gen.generate(r, KernelEngine::kDirect), base), 1e-10)
+            << "eps=" << eps;
     }
 }
 

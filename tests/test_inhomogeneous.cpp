@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <set>
+#include <vector>
 
 #include "core/inhomogeneous.hpp"
 #include "core/surface.hpp"
@@ -15,6 +18,46 @@ namespace rrs {
 namespace {
 
 SpectrumPtr g_spec(double h, double cl) { return make_gaussian({h, cl, cl}); }
+
+/// The per-region algorithm rebuilt from public API: each region's own
+/// generator (own noise fill) over the bounding box of its weights, blended
+/// in ascending region order.  Sets `active` to the regions with support.
+Array2D<double> per_region_oracle(const InhomogeneousGenerator& gen, const Rect& r,
+                                  std::uint64_t seed, std::size_t& active) {
+    Array2D<double> out(static_cast<std::size_t>(r.nx), static_cast<std::size_t>(r.ny), 0.0);
+    active = 0;
+    for (std::size_t m = 0; m < gen.kernels().size(); ++m) {
+        const auto gm = gen.blend_weights(r, m);
+        std::int64_t bx0 = r.nx, bx1 = -1, by0 = r.ny, by1 = -1;
+        for (std::int64_t ty = 0; ty < r.ny; ++ty) {
+            for (std::int64_t tx = 0; tx < r.nx; ++tx) {
+                if (gm(static_cast<std::size_t>(tx), static_cast<std::size_t>(ty)) > 0.0) {
+                    bx0 = std::min(bx0, tx);
+                    bx1 = std::max(bx1, tx);
+                    by0 = std::min(by0, ty);
+                    by1 = std::max(by1, ty);
+                }
+            }
+        }
+        if (bx1 < bx0) {
+            continue;
+        }
+        ++active;
+        const ConvolutionGenerator conv(gen.kernels()[m], seed);
+        const auto fm = conv.generate(Rect{r.x0 + bx0, r.y0 + by0, bx1 - bx0 + 1, by1 - by0 + 1});
+        for (std::int64_t ty = by0; ty <= by1; ++ty) {
+            for (std::int64_t tx = bx0; tx <= bx1; ++tx) {
+                const double g = gm(static_cast<std::size_t>(tx), static_cast<std::size_t>(ty));
+                if (g > 0.0) {
+                    out(static_cast<std::size_t>(tx), static_cast<std::size_t>(ty)) +=
+                        g * fm(static_cast<std::size_t>(tx - bx0),
+                               static_cast<std::size_t>(ty - by0));
+                }
+            }
+        }
+    }
+    return out;
+}
 
 TEST(Inhomogeneous, RejectsNullMap) {
     EXPECT_THROW(
@@ -52,6 +95,46 @@ TEST(Inhomogeneous, FastPathEqualsReferenceForPointMap) {
     const InhomogeneousGenerator gen(map, GridSpec::unit_spacing(64, 64), 13, {});
     const Rect r{0, 0, 32, 32};
     EXPECT_LT(max_abs_diff(gen.generate(r), gen.generate_reference(r)), 1e-10);
+}
+
+TEST(Inhomogeneous, SharedNoisePassIsBitIdenticalToPerRegionGenerators) {
+    // One weight pass and one noise field per tile must give the same bytes
+    // as a generator per region filling its own noise, on tiles touching
+    // one, two and three or more regions, through both engines (the
+    // exponential region runs the FFT engine).
+    const std::uint64_t seed = 29;
+    const GridSpec kg = GridSpec::unit_spacing(64, 64);
+    struct Case {
+        RegionMapPtr map;
+        std::vector<Rect> tiles;
+    };
+    const Case cases[] = {
+        {make_quadrant_map(16.0, 16.0, 64.0, g_spec(1.0, 4.0), g_spec(0.5, 6.0),
+                           g_spec(2.0, 3.0), g_spec(1.5, 5.0), 4.0),
+         {{0, 0, 8, 8}, {0, 12, 10, 8}, {10, 10, 12, 12}}},
+        {std::make_shared<const CircleMap>(16.0, 16.0, 10.0, g_spec(0.3, 3.0),
+                                           g_spec(1.0, 5.0), 4.0),
+         {{13, 13, 6, 6}, {0, 0, 32, 32}}},
+        {std::make_shared<const PointMap>(
+             std::vector<RepresentativePoint>{{8.0, 8.0, g_spec(1.0, 3.0)},
+                                              {24.0, 8.0, g_spec(2.0, 5.0)},
+                                              {16.0, 24.0, make_exponential({0.5, 4.0, 4.0})}},
+             5.0),
+         {{-40, -40, 8, 8}, {12, -6, 8, 8}, {0, 0, 32, 32}, {10, 14, 12, 6}}},
+    };
+    std::set<std::size_t> touched;
+    for (const Case& c : cases) {
+        const InhomogeneousGenerator gen(c.map, kg, seed, {});
+        for (const Rect& r : c.tiles) {
+            std::size_t active = 0;
+            const auto oracle = per_region_oracle(gen, r, seed, active);
+            touched.insert(std::min<std::size_t>(active, 3));
+            EXPECT_EQ(gen.generate(r), oracle)
+                << "tile " << r.x0 << "," << r.y0 << " " << r.nx << "x" << r.ny << " ("
+                << active << " regions)";
+        }
+    }
+    EXPECT_EQ(touched, (std::set<std::size_t>{1, 2, 3}));
 }
 
 TEST(Inhomogeneous, BlendWeightsSumToOne) {

@@ -1,7 +1,7 @@
 // Differential-equivalence suite for the kernel engines (DESIGN.md §15).
 //
-// `generate_direct()` — the literal eq. (36) tap sum — is the reference;
-// every fast engine is bounded against it:
+// `generate(region, KernelEngine::kDirect)` — the literal eq. (36) tap
+// sum — is the reference; every fast engine is bounded against it:
 //
 //   * separable (two SIMD 1-D passes)  : ≤ 1e-12 on every point,
 //   * fft (padded r2c circular conv)   : ≤ 1e-10 on every point,
@@ -130,8 +130,8 @@ TEST(KernelEquivalence, SeparableMatchesDirectToTolerance) {
         ASSERT_TRUE(gen.separable_available());
         for (const Rect r : {Rect{0, 0, 40, 40}, Rect{-17, 23, 31, 19},
                              Rect{5, -60, 64, 8}, Rect{-3, -3, 33, 17}}) {
-            const auto sep = gen.generate_separable(r);
-            const auto ref = gen.generate_direct(r);
+            const auto sep = gen.generate(r, KernelEngine::kSeparable);
+            const auto ref = gen.generate(r, KernelEngine::kDirect);
             EXPECT_LT(max_abs_diff(sep, ref), 1e-12)
                 << c.s->name() << " eps=" << c.eps << " rect " << r.x0 << "," << r.y0
                 << " " << r.nx << "x" << r.ny;
@@ -146,7 +146,9 @@ TEST(KernelEquivalence, FftMatchesDirectToTolerance) {
                           make_power_law({1.2, 8.0, 4.0}, 2.0)}) {
         const auto gen = make_gen(s, 42);
         for (const Rect r : {Rect{0, 0, 40, 40}, Rect{-17, 23, 31, 19}}) {
-            EXPECT_LT(max_abs_diff(gen.generate_fft(r), gen.generate_direct(r)), 1e-10)
+            EXPECT_LT(max_abs_diff(gen.generate(r, KernelEngine::kFft),
+                                   gen.generate(r, KernelEngine::kDirect)),
+                      1e-10)
                 << s->name();
         }
     }
@@ -161,11 +163,11 @@ TEST(KernelEquivalence, SeparableBitIdenticalAcrossThreadCounts) {
         Array2D<double> base;
         {
             const ThreadCountGuard one(1);
-            base = gen.generate_separable(r);
+            base = gen.generate(r, KernelEngine::kSeparable);
         }
         for (const int threads : {2, 5}) {
             const ThreadCountGuard guard(threads);
-            EXPECT_EQ(gen.generate_separable(r), base)
+            EXPECT_EQ(gen.generate(r, KernelEngine::kSeparable), base)
                 << "threads=" << threads << " rect " << r.x0 << "," << r.y0;
         }
     }
@@ -201,8 +203,8 @@ TEST(KernelEquivalence, SeparableOverlappingRectsBitExactRandomized) {
             continue;  // disjoint draw; try again
         }
         ++checked;
-        const auto fa = gen.generate_separable(a);
-        const auto fb = gen.generate_separable(b);
+        const auto fa = gen.generate(a, KernelEngine::kSeparable);
+        const auto fb = gen.generate(b, KernelEngine::kSeparable);
         for (std::int64_t y = y0; y < y1; ++y) {
             for (std::int64_t x = x0; x < x1; ++x) {
                 const double va = fa(static_cast<std::size_t>(x - a.x0),
@@ -232,11 +234,11 @@ TEST(KernelEquivalence, ConfiguredEngineIsHonoured) {
     const Rect r{-4, 7, 19, 23};
     gen.set_engine(KernelEngine::kDirect);
     EXPECT_EQ(gen.resolved_engine(), KernelEngine::kDirect);
-    EXPECT_EQ(gen.generate(r), gen.generate_direct(r));  // bit-exact dispatch
+    EXPECT_EQ(gen.generate(r), gen.generate(r, KernelEngine::kDirect));  // bit-exact dispatch
     gen.set_engine(KernelEngine::kFft);
-    EXPECT_EQ(gen.generate(r), gen.generate_fft(r));
+    EXPECT_EQ(gen.generate(r), gen.generate(r, KernelEngine::kFft));
     gen.set_engine(KernelEngine::kSeparable);
-    EXPECT_EQ(gen.generate(r), gen.generate_separable(r));
+    EXPECT_EQ(gen.generate(r), gen.generate(r, KernelEngine::kSeparable));
 }
 
 TEST(KernelEquivalence, EnvOverrideBeatsConfiguredEngine) {
@@ -246,7 +248,7 @@ TEST(KernelEquivalence, EnvOverrideBeatsConfiguredEngine) {
     const Rect r{0, 0, 24, 24};
     const EnvGuard env("RRS_KERNEL_ENGINE", "direct");
     EXPECT_EQ(gen.resolved_engine(), KernelEngine::kDirect);
-    EXPECT_EQ(gen.generate(r), gen.generate_direct(r));
+    EXPECT_EQ(gen.generate(r), gen.generate(r, KernelEngine::kDirect));
 }
 
 TEST(KernelEquivalence, MalformedEnvOverrideThrowsInsteadOfFallingBack) {
@@ -258,7 +260,7 @@ TEST(KernelEquivalence, MalformedEnvOverrideThrowsInsteadOfFallingBack) {
 
 TEST(KernelEquivalence, SeparableEngineRejectsNonSeparableKernel) {
     const auto gen = make_gen(make_exponential({1.0, 6.0, 6.0}), 3);
-    EXPECT_THROW(gen.generate_separable(Rect{0, 0, 8, 8}), ConfigError);
+    EXPECT_THROW(gen.generate(Rect{0, 0, 8, 8}, KernelEngine::kSeparable), ConfigError);
     const EnvGuard env("RRS_KERNEL_ENGINE", "separable");
     EXPECT_THROW(gen.generate(Rect{0, 0, 8, 8}), ConfigError);
 }

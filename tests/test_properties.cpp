@@ -36,7 +36,7 @@ TEST_P(EngineEquality, DirectAndFftAgree) {
         ConvolutionKernel::build_truncated(*s, GridSpec::unit_spacing(96, 96), eps),
         1234);
     for (const Rect r : {Rect{0, 0, 24, 24}, Rect{-31, 17, 40, 12}}) {
-        EXPECT_LT(max_abs_diff(gen.generate(r), gen.generate_direct(r)), 1e-10)
+        EXPECT_LT(max_abs_diff(gen.generate(r), gen.generate(r, KernelEngine::kDirect)), 1e-10)
             << "family=" << family << " eps=" << eps;
     }
 }
@@ -136,7 +136,7 @@ TEST(Golden, SurfaceChecksum) {
         total += f.data()[i];
     }
     // Direct-engine cross-check is the strong anchor (engine-independent).
-    const auto fd = gen.generate_direct(Rect{0, 0, 32, 32});
+    const auto fd = gen.generate(Rect{0, 0, 32, 32}, KernelEngine::kDirect);
     EXPECT_LT(max_abs_diff(f, fd), 1e-10);
     EXPECT_TRUE(std::isfinite(total));
     EXPECT_LT(std::abs(total), 1024.0);  // mean within ±1 of zero

@@ -605,7 +605,15 @@ names = {e["name"] for e in events}
 assert events, "trace has no events"
 assert all(e["ph"] == "X" for e in events), "expected only complete events"
 assert len(names) >= 6, f"only {len(names)} span names: {sorted(names)}"
-print(f"    trace ok: {len(events)} spans, {len(names)} distinct names")
+# One weight pass and one shared noise field per inhomogeneous tile,
+# however many regions the tile touches.
+count = lambda n: sum(e["name"] == n for e in events)
+tiles = count("inhom.generate")
+assert tiles >= 1, "no inhom.generate span"
+for n in ("inhom.weights", "noise.fill"):
+    assert count(n) == tiles, f"{count(n)} {n} spans for {tiles} inhom.generate"
+print(f"    trace ok: {len(events)} spans, {len(names)} distinct names, "
+      f"{tiles} tile(s) with one weight pass and one noise fill each")
 EOF
     rm -f "$scene" "$trace"
 }
