@@ -25,7 +25,6 @@
 
 #include "bench_util.hpp"
 #include "core/convolution.hpp"
-#include "grid/simd.hpp"
 #include "io/table.hpp"
 #include "parallel/parallel_for.hpp"
 
@@ -103,8 +102,8 @@ int main(int argc, char** argv) {
     }
     const bench::TraceFromEnv trace_guard;  // RRS_TRACE=file.json records spans
 
-    std::cout << "=== Convolution engine roofline (SIMD backend: " << simd::backend()
-              << ", threads: " << max_threads() << ") ===\n\n";
+    std::cout << "=== Convolution engine roofline (threads: " << max_threads()
+              << ") ===\n\n";
 
     // Default Gaussian scene: unit height, cl = 8 lattice units — the same
     // family/shape the acceptance tier certifies.

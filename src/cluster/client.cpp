@@ -1,7 +1,7 @@
 #include "cluster/client.hpp"
 
+#include <algorithm>
 #include <condition_variable>
-#include <cstdlib>
 #include <cstring>
 #include <future>
 #include <utility>
@@ -511,11 +511,10 @@ TilePtr ClusterClient::fetch_tile_f64(std::size_t node, const std::string& scene
         return nullptr;  // the peer-fill miss: the peer simply has no copy
     }
     if (resp.status == 503) {  // alive but shedding or breaker-open
-        const std::string* retry = resp.header("retry-after");
         throw NodeUnavailableError{
             map_.node(node).name,
             "node '" + map_.node(node).name + "' answered 503 for " + target,
-            retry != nullptr ? 1000 * std::atoi(retry->c_str()) : 0};
+            std::max(net::retry_after_ms(resp), 0)};
     }
     if (!resp.ok()) {
         throw net::HttpError{resp.status >= 400 ? resp.status : 502,

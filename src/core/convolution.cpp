@@ -44,6 +44,13 @@ struct ConvCounters {
     }
 };
 
+[[noreturn]] void throw_not_separable() {
+    throw ConfigError{
+        "separable engine requested but the kernel does not factor rank-1 (only "
+        "the Gaussian family does); use engine=fft or engine=direct",
+        {"ConvolutionGenerator", "engine"}};
+}
+
 std::size_t next_pow2(std::size_t n) {
     std::size_t m = 1;
     while (m < n) {
@@ -76,9 +83,14 @@ ConvolutionGenerator::ConvolutionGenerator(ConvolutionKernel kernel, std::uint64
     : kernel_(std::move(kernel)),
       lattice_(seed),
       health_(health),
-      engine_(engine),
       factors_(kernel_.separable()),
+      engine_(engine != KernelEngine::kAuto ? engine
+              : factors_.has_value()        ? KernelEngine::kSeparable
+                                            : KernelEngine::kFft),
       cache_(std::make_unique<FftCache>()) {
+    if (engine_ == KernelEngine::kSeparable && !factors_.has_value()) {
+        throw_not_separable();
+    }
     apply_policy(kernel_health(kernel_), health_, kDefaultKernelEnergyTol,
                  {"ConvolutionGenerator", "kernel"});
 }
@@ -92,6 +104,7 @@ std::uint64_t ConvolutionGenerator::fingerprint() const noexcept {
     h = mix64(h ^ std::bit_cast<std::uint64_t>(kernel_.spacing_x()));
     h = mix64(h ^ std::bit_cast<std::uint64_t>(kernel_.spacing_y()));
     h = mix64(h ^ std::bit_cast<std::uint64_t>(kernel_.energy()));
+    h = mix64(h ^ static_cast<std::uint64_t>(engine_));
     // Never return the "unfingerprinted" sentinel.
     return h == 0 ? 1 : h;
 }
@@ -118,14 +131,6 @@ void ConvolutionGenerator::scan_health(const Array2D<double>& f,
     }
 }
 
-KernelEngine ConvolutionGenerator::resolved_engine() const {
-    KernelEngine e = kernel_engine_env_override().value_or(engine_);
-    if (e == KernelEngine::kAuto) {
-        e = factors_.has_value() ? KernelEngine::kSeparable : KernelEngine::kFft;
-    }
-    return e;
-}
-
 Rect ConvolutionGenerator::halo_rect(const Rect& region) const noexcept {
     // f(n) reads X at n − d for every tap offset d in [min_d, max_d].
     return Rect{region.x0 - kernel_.max_dx(), region.y0 - kernel_.max_dy(),
@@ -134,7 +139,7 @@ Rect ConvolutionGenerator::halo_rect(const Rect& region) const noexcept {
 }
 
 Array2D<double> ConvolutionGenerator::generate(const Rect& region) const {
-    return generate(region, resolved_engine());
+    return generate(region, engine_);
 }
 
 Array2D<double> ConvolutionGenerator::generate(const Rect& region,
@@ -145,7 +150,7 @@ Array2D<double> ConvolutionGenerator::generate(const Rect& region,
 
 Array2D<double> ConvolutionGenerator::generate(const Rect& region, const Array2D<double>& X,
                                                const Rect& xrect) const {
-    return convolve(resolved_engine(), region, X, xrect);
+    return convolve(engine_, region, X, xrect);
 }
 
 Array2D<double> ConvolutionGenerator::convolve(KernelEngine engine, const Rect& region,
@@ -203,48 +208,36 @@ Array2D<double> ConvolutionGenerator::convolve_direct(const Rect& region, const 
 Array2D<double> ConvolutionGenerator::convolve_separable(const Rect& region, const double* x,
                                                          std::size_t stride) const {
     if (!factors_.has_value()) {
-        throw ConfigError{
-            "separable engine requested but the kernel does not factor "
-            "rank-1 (only the Gaussian family does); use engine=fft or "
-            "engine=direct",
-            {"ConvolutionGenerator", "generate"}};
+        throw_not_separable();
     }
     RRS_TRACE_SPAN("conv.separable");
     ConvCounters::get().count_tile(region, ConvCounters::get().separable_tiles);
 
-    // taps = fx⊗fy turns eq. (36) into two 1-D passes:
-    //   H(t, s)  = Σ_u fx[Kx−1−u] · X(t+u, s)        (horizontal, dot)
-    //   f(t, ty) = Σ_v fy[Ky−1−v] · H(t, ty+v)       (vertical, axpy)
-    // Both passes parallelise over independent output rows with a fixed
-    // accumulation order, so results are bit-identical at any thread count
-    // and overlapping rectangles agree exactly (X is a pure function of
-    // absolute lattice coordinates).
+    // taps = fx⊗fy turns eq. (36) into two 1-D passes, each one
+    // simd::accumulate per output row (terms in ascending u / v, fused):
+    //   H(t, s)  = Σ_u fx[Kx−1−u] · X(t+u, s)    (horizontal: rows xrow + u)
+    //   f(t, ty) = Σ_v fy[Ky−1−v] · H(t, ty+v)   (vertical: rows of H)
+    // Rows are independent and each element's operations are fixed, so
+    // results are bit-identical at any thread count and overlapping
+    // rectangles agree exactly (X is a pure function of absolute lattice
+    // coordinates).
     const std::size_t knx = kernel_.nx();
     const std::size_t kny = kernel_.ny();
+    const auto nx = static_cast<std::size_t>(region.nx);
     const std::vector<double> gx(factors_->fx.rbegin(), factors_->fx.rend());
     const std::vector<double> gy(factors_->fy.rbegin(), factors_->fy.rend());
 
     const std::int64_t Sy = region.ny + static_cast<std::int64_t>(kny) - 1;
-    Array2D<double> H(static_cast<std::size_t>(region.nx),
-                      static_cast<std::size_t>(Sy));
+    Array2D<double> H(nx, static_cast<std::size_t>(Sy));
     parallel_for(0, Sy, [&](std::int64_t sy) {
-        const double* xrow = x + static_cast<std::size_t>(sy) * stride;
-        double* hrow = H.row(static_cast<std::size_t>(sy)).data();
-        for (std::int64_t tx = 0; tx < region.nx; ++tx) {
-            hrow[static_cast<std::size_t>(tx)] =
-                simd::dot(gx.data(), xrow + tx, knx);
-        }
+        const auto s = static_cast<std::size_t>(sy);
+        simd::accumulate(H.row(s).data(), x + s * stride, 1, gx.data(), knx, nx);
     });
 
-    Array2D<double> f(static_cast<std::size_t>(region.nx),
-                      static_cast<std::size_t>(region.ny));
+    Array2D<double> f(nx, static_cast<std::size_t>(region.ny));
     parallel_for(0, region.ny, [&](std::int64_t ty) {
-        double* frow = f.row(static_cast<std::size_t>(ty)).data();
-        std::fill(frow, frow + region.nx, 0.0);
-        for (std::size_t v = 0; v < kny; ++v) {
-            const double* hrow = H.row(static_cast<std::size_t>(ty) + v).data();
-            simd::axpy(frow, hrow, gy[v], static_cast<std::size_t>(region.nx));
-        }
+        const auto t = static_cast<std::size_t>(ty);
+        simd::accumulate(f.row(t).data(), H.row(t).data(), nx, gy.data(), kny, nx);
     });
     return f;
 }

@@ -15,15 +15,14 @@
 ///                 reference every other engine is tested against.
 ///  * kFft       — circular convolution on a pow2-padded tile via the
 ///                 real-input FFT, O(P² log P).
-///  * kSeparable — two SIMD 1-D passes over the noise halo for rank-1
-///                 kernels (the Gaussian family), O(N²·(Kx+Ky)).
+///  * kSeparable — two 1-D fused row-accumulate passes over the noise halo
+///                 for rank-1 kernels (the Gaussian family), O(N²·(Kx+Ky)).
 /// Every engine reads X from a caller-supplied field that covers
 /// halo_rect(region): `generate(region)` and `generate(region, engine)`
 /// fill that halo once, and `generate(region, X, xrect)` convolves a window
 /// of a field the caller already holds — the inhomogeneous generator's one
-/// shared X per tile.  The engine is the configured one (kAuto → separable
-/// when the kernel factors, else FFT), overridable per call by the
-/// RRS_KERNEL_ENGINE environment variable.
+/// shared X per tile.  The engine is resolved once, at construction, and is
+/// part of the fingerprint: the engines agree to rounding, not bit for bit.
 
 #include <cstdint>
 #include <memory>
@@ -47,7 +46,9 @@ public:
     /// kernel's energy-conservation check runs, and every generated tile is
     /// scanned for NaN/Inf and implausible RMS.  kIgnore (default) skips
     /// both and preserves historical behaviour.  `engine` selects the
-    /// generate() fast path; kAuto resolves per call (engine.hpp).
+    /// generate() path; kAuto resolves here to separable when the kernel
+    /// factors, else FFT.  Throws ConfigError for kSeparable when the kernel
+    /// does not factor.
     explicit ConvolutionGenerator(ConvolutionKernel kernel, std::uint64_t seed,
                                   HealthPolicy health = HealthPolicy::kIgnore,
                                   KernelEngine engine = KernelEngine::kAuto);
@@ -58,14 +59,15 @@ public:
     ConvolutionGenerator(const ConvolutionGenerator&) = delete;
     ConvolutionGenerator& operator=(const ConvolutionGenerator&) = delete;
 
-    /// Surface heights for lattice points in `region`, via the resolved
-    /// engine (see resolved_engine()).  All engines agree to ≤1e-12 and
-    /// each engine is individually bit-deterministic (DESIGN.md §15).
+    /// Surface heights for lattice points in `region`, via engine().  All
+    /// engines agree to ≤1e-12 and each engine is individually
+    /// bit-deterministic (DESIGN.md §15).
     Array2D<double> generate(const Rect& region) const;
 
     /// The same sums through an explicit engine (kAuto → separable when the
-    /// kernel factors, else FFT); the environment override does not apply.
-    /// Throws ConfigError for kSeparable when the kernel does not factor.
+    /// kernel factors, else FFT) — for comparing engines; the fingerprint
+    /// names engine(), not this one.  Throws ConfigError for kSeparable when
+    /// the kernel does not factor.
     Array2D<double> generate(const Rect& region, KernelEngine engine) const;
 
     /// generate(region) over a noise field the caller filled: `X` holds the
@@ -84,16 +86,8 @@ public:
     /// reads it.
     Array2D<double> noise_tile(const Rect& region) const;
 
-    /// Engine configured on this generator (kAuto until set).
+    /// The engine generate() runs, resolved at construction (never kAuto).
     KernelEngine engine() const noexcept { return engine_; }
-    void set_engine(KernelEngine engine) noexcept { engine_ = engine; }
-
-    /// The engine generate() will run right now: RRS_KERNEL_ENGINE override
-    /// first, then the configured engine, with kAuto resolving to separable
-    /// when the kernel factors and FFT otherwise.  Throws ConfigError on a
-    /// malformed override; an explicit separable demand on a non-separable
-    /// kernel throws from generate() itself.
-    KernelEngine resolved_engine() const;
 
     /// True when the kernel admits the separable engine (rank-1 within
     /// kSeparableTol; the Gaussian family qualifies exactly).
@@ -106,12 +100,11 @@ public:
     HealthPolicy health_policy() const noexcept { return health_; }
     void set_health_policy(HealthPolicy policy) noexcept { health_ = policy; }
 
-    /// Stable hash of (seed, kernel shape, tap spacing, kernel energy) —
-    /// identifies the generator's configuration for checkpoint/resume
-    /// (streaming.hpp).  Two generators with equal fingerprints produce
-    /// bit-identical surfaces on every rectangle.  Deliberately engine-
-    /// independent: engines agree to ≤1e-12, and the escape-hatch contract
-    /// is that switching engines must not invalidate caches or checkpoints.
+    /// Stable hash of (seed, kernel shape, tap spacing, kernel energy,
+    /// engine) — identifies the generator's configuration for
+    /// checkpoint/resume (streaming.hpp) and strong ETags.  Two generators
+    /// with equal fingerprints produce bit-identical surfaces on every
+    /// rectangle; the engine is in it because engines agree only to ≤1e-12.
     std::uint64_t fingerprint() const noexcept;
 
 private:
@@ -135,10 +128,10 @@ private:
     ConvolutionKernel kernel_;
     GaussianLattice lattice_;
     HealthPolicy health_ = HealthPolicy::kIgnore;
-    KernelEngine engine_ = KernelEngine::kAuto;
     /// Rank-1 factors (kernel_.separable()), computed once at construction;
     /// nullopt for non-separable kernels.
     std::optional<SeparableFactors> factors_;
+    KernelEngine engine_;  // resolved from factors_, so declared after it
     std::unique_ptr<FftCache> cache_;  // keeps the generator movable
 };
 

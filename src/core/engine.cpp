@@ -1,7 +1,5 @@
 #include "core/engine.hpp"
 
-#include <cstdlib>
-
 #include "core/error.hpp"
 
 namespace rrs {
@@ -36,20 +34,6 @@ KernelEngine parse_kernel_engine(const std::string& name) {
     throw ConfigError{"unknown kernel engine '" + name +
                           "' (expected auto|direct|fft|separable)",
                       {"engine", "parse_kernel_engine"}};
-}
-
-std::optional<KernelEngine> kernel_engine_env_override() {
-    const char* env = std::getenv("RRS_KERNEL_ENGINE");
-    if (env == nullptr || *env == '\0') {
-        return std::nullopt;
-    }
-    try {
-        return parse_kernel_engine(env);
-    } catch (const ConfigError&) {
-        throw ConfigError{"unknown kernel engine '" + std::string(env) +
-                              "' (expected auto|direct|fft|separable)",
-                          {"engine", "RRS_KERNEL_ENGINE"}};
-    }
 }
 
 }  // namespace rrs

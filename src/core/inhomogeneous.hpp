@@ -41,8 +41,8 @@ struct InhomogeneousOptions {
     /// at construction and a NaN/Inf + RMS scan of every generated tile.
     HealthPolicy health = HealthPolicy::kIgnore;
     /// Kernel engine for every per-region generator (engine.hpp).  kAuto
-    /// picks separable/FFT per region kernel; the RRS_KERNEL_ENGINE env
-    /// var still overrides at each generate() call.
+    /// picks separable/FFT per region kernel, once, at construction; each
+    /// region's resolved engine is part of fingerprint().
     KernelEngine engine = KernelEngine::kAuto;
 };
 

@@ -64,7 +64,7 @@ struct Scene {
     /// the rrsgen `--health` flag overrides it).
     HealthPolicy health = HealthPolicy::kReport;
     /// Kernel engine (`engine = auto|direct|fft|separable`; the rrsgen
-    /// `--engine` flag and RRS_KERNEL_ENGINE env var override it).
+    /// `--engine` flag overrides it).  Part of the scene's fingerprint.
     KernelEngine engine = KernelEngine::kAuto;
     RegionMapPtr map;                  ///< built blending map (never null)
     std::vector<std::string> outputs;  ///< format chosen by extension

@@ -45,8 +45,8 @@ bool forbidden_in_line(char ch) noexcept {
     return (c < 0x20 && c != '\t') || c == 0x7f;
 }
 
-/// A `Retry-After: N` value in whole seconds, as milliseconds; -1 when the
-/// header is absent, non-numeric (HTTP-date form unsupported), or absurd.
+}  // namespace
+
 int retry_after_ms(const ClientResponse& resp) {
     const std::string* value = resp.header("retry-after");
     if (value == nullptr || value->empty() || value->size() > 4 ||
@@ -57,8 +57,6 @@ int retry_after_ms(const ClientResponse& resp) {
     }
     return static_cast<int>(std::stoul(*value)) * 1000;
 }
-
-}  // namespace
 
 ClientResponse parse_response_head(std::string_view head) {
     ClientResponse resp;

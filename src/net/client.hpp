@@ -71,6 +71,11 @@ struct ClientResponse {
 /// control byte (NUL, lone CR/LF) — never anything outside the taxonomy.
 ClientResponse parse_response_head(std::string_view head);
 
+/// A `Retry-After: N` value in whole seconds, as milliseconds; -1 when the
+/// header is absent, non-numeric (HTTP-date form unsupported), or absurd
+/// (more than 4 digits).  The one parser of a server's retry hint.
+int retry_after_ms(const ClientResponse& resp);
+
 /// See file comment.
 class HttpClient {
 public:

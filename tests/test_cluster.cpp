@@ -973,5 +973,32 @@ TEST(ClusterClientConfig, BreakerOpensForDeadNodeOnly) {
     live.server->stop();
 }
 
+TEST(ClusterClientConfig, InvalidRetryAfterFromAShardIsNoHint) {
+    // A scripted peer answers every tile with 503 and the Retry-After value
+    // under test.  Out-of-range or malformed values mean no hint (the
+    // minimum 1 s); they must never overflow into a wrapped or negative one.
+    for (const auto& [value, want_s] :
+         std::vector<std::pair<std::string, int>>{
+             {"99999999", 1}, {"2147484", 1}, {"-5", 1}, {"soon", 1}, {"3", 3}}) {
+        net::Router router;
+        router.add("/v1/tile", [value = value](const net::HttpRequest&) {
+            net::HttpResponse resp = net::HttpResponse::text(503, "busy\n");
+            resp.extra_headers.emplace_back("Retry-After", value);
+            return resp;
+        });
+        net::HttpServer peer(std::move(router), net::HttpServer::Options{});
+        peer.start();
+        ClusterClient client(local_fleet({{"peer", peer.port()}}));
+        try {
+            (void)client.fetch_tile_f64(0, "scene", 1, TileShape{8, 8}, TileKey{0, 0, 0});
+            ADD_FAILURE() << "expected NodeUnavailableError for Retry-After " << value;
+        } catch (const NodeUnavailableError& e) {
+            EXPECT_EQ(e.node(), "peer");
+            EXPECT_EQ(e.retry_after_s(), want_s) << "Retry-After: " << value;
+        }
+        peer.stop();
+    }
+}
+
 }  // namespace
 }  // namespace rrs::cluster

@@ -75,20 +75,19 @@ TEST(Convolution, EnginesReadACallerSuppliedNoiseWindow) {
     const auto s = make_gaussian({1.0, 3.0, 5.0});
     const GridSpec grid = GridSpec::unit_spacing(32, 32);
     for (const bool truncate : {true, false}) {
-        ConvolutionGenerator gen(truncate ? ConvolutionKernel::build_truncated(*s, grid, 1e-8)
-                                          : ConvolutionKernel::build(*s, grid),
-                                 17);
-        ASSERT_TRUE(gen.separable_available());
-        const Rect r{-7, 3, 19, 11};
-        const Rect halo = gen.halo_rect(r);
-        EXPECT_EQ(halo.nx, r.nx + static_cast<std::int64_t>(gen.kernel().nx()) - 1);
-        EXPECT_EQ(halo.ny, r.ny + static_cast<std::int64_t>(gen.kernel().ny()) - 1);
-        const Rect xrect{halo.x0 - 5, halo.y0 - 2, halo.nx + 9, halo.ny + 4};
-        const auto X = gen.noise_tile(xrect);
         for (const KernelEngine e :
              {KernelEngine::kDirect, KernelEngine::kFft, KernelEngine::kSeparable}) {
-            gen.set_engine(e);
-            EXPECT_EQ(gen.generate(r, X, xrect), gen.generate(r, e))
+            const ConvolutionGenerator gen(
+                truncate ? ConvolutionKernel::build_truncated(*s, grid, 1e-8)
+                         : ConvolutionKernel::build(*s, grid),
+                17, HealthPolicy::kIgnore, e);
+            ASSERT_TRUE(gen.separable_available());
+            const Rect r{-7, 3, 19, 11};
+            const Rect halo = gen.halo_rect(r);
+            EXPECT_EQ(halo.nx, r.nx + static_cast<std::int64_t>(gen.kernel().nx()) - 1);
+            EXPECT_EQ(halo.ny, r.ny + static_cast<std::int64_t>(gen.kernel().ny()) - 1);
+            const Rect xrect{halo.x0 - 5, halo.y0 - 2, halo.nx + 9, halo.ny + 4};
+            EXPECT_EQ(gen.generate(r, gen.noise_tile(xrect), xrect), gen.generate(r, e))
                 << kernel_engine_name(e) << " truncated=" << truncate;
         }
     }

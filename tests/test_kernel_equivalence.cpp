@@ -12,10 +12,10 @@
 // overlapping rectangles through the separable engine (randomized rect
 // pairs, seeded via RRS_EQ_SEED and logged for replay).
 //
-// The suite also pins the engine-selection contract: kAuto resolution,
-// the RRS_KERNEL_ENGINE escape hatch (malformed values must throw, not
-// silently fall back), the scene `engine =` key, and the SIMD primitives
-// against scalar references.
+// The suite also pins the engine-selection contract: kAuto resolution at
+// construction, the engine's place in the fingerprint, the scene `engine =`
+// key, and the fused primitives against a sequential std::fma loop, bit for
+// bit.
 
 #include <gtest/gtest.h>
 
@@ -27,6 +27,7 @@
 
 #include "core/convolution.hpp"
 #include "core/engine.hpp"
+#include "core/inhomogeneous.hpp"
 #include "grid/simd.hpp"
 #include "io/scene.hpp"
 
@@ -223,46 +224,65 @@ TEST(KernelEquivalence, SeparableOverlappingRectsBitExactRandomized) {
 
 TEST(KernelEquivalence, AutoResolvesSeparableForGaussianFftOtherwise) {
     const auto gauss = make_gen(make_gaussian({1.0, 6.0, 6.0}), 1);
-    EXPECT_EQ(gauss.resolved_engine(), KernelEngine::kSeparable);
+    EXPECT_EQ(gauss.engine(), KernelEngine::kSeparable);
     const auto expo = make_gen(make_exponential({1.0, 6.0, 6.0}), 1);
     EXPECT_FALSE(expo.separable_available());
-    EXPECT_EQ(expo.resolved_engine(), KernelEngine::kFft);
+    EXPECT_EQ(expo.engine(), KernelEngine::kFft);
 }
 
 TEST(KernelEquivalence, ConfiguredEngineIsHonoured) {
-    auto gen = make_gen(make_gaussian({1.0, 6.0, 6.0}), 5);
+    const auto s = make_gaussian({1.0, 6.0, 6.0});
     const Rect r{-4, 7, 19, 23};
-    gen.set_engine(KernelEngine::kDirect);
-    EXPECT_EQ(gen.resolved_engine(), KernelEngine::kDirect);
-    EXPECT_EQ(gen.generate(r), gen.generate(r, KernelEngine::kDirect));  // bit-exact dispatch
-    gen.set_engine(KernelEngine::kFft);
-    EXPECT_EQ(gen.generate(r), gen.generate(r, KernelEngine::kFft));
-    gen.set_engine(KernelEngine::kSeparable);
-    EXPECT_EQ(gen.generate(r), gen.generate(r, KernelEngine::kSeparable));
-}
-
-TEST(KernelEquivalence, EnvOverrideBeatsConfiguredEngine) {
-    // The escape hatch: one env var turns any run into a reference run.
-    auto gen = make_gen(make_gaussian({1.0, 6.0, 6.0}), 9);
-    gen.set_engine(KernelEngine::kSeparable);
-    const Rect r{0, 0, 24, 24};
-    const EnvGuard env("RRS_KERNEL_ENGINE", "direct");
-    EXPECT_EQ(gen.resolved_engine(), KernelEngine::kDirect);
-    EXPECT_EQ(gen.generate(r), gen.generate(r, KernelEngine::kDirect));
-}
-
-TEST(KernelEquivalence, MalformedEnvOverrideThrowsInsteadOfFallingBack) {
-    const auto gen = make_gen(make_gaussian({1.0, 6.0, 6.0}), 9);
-    const EnvGuard env("RRS_KERNEL_ENGINE", "sperable");  // typo
-    EXPECT_THROW(gen.resolved_engine(), ConfigError);
-    EXPECT_THROW(gen.generate(Rect{0, 0, 8, 8}), ConfigError);
+    for (const KernelEngine e :
+         {KernelEngine::kDirect, KernelEngine::kFft, KernelEngine::kSeparable}) {
+        const ConvolutionGenerator gen(
+            ConvolutionKernel::build_truncated(*s, GridSpec::unit_spacing(64, 64), 1e-8), 5,
+            HealthPolicy::kIgnore, e);
+        EXPECT_EQ(gen.engine(), e);
+        EXPECT_EQ(gen.generate(r), gen.generate(r, e)) << kernel_engine_name(e);
+    }
 }
 
 TEST(KernelEquivalence, SeparableEngineRejectsNonSeparableKernel) {
-    const auto gen = make_gen(make_exponential({1.0, 6.0, 6.0}), 3);
+    const auto s = make_exponential({1.0, 6.0, 6.0});
+    const auto gen = make_gen(s, 3);
     EXPECT_THROW(gen.generate(Rect{0, 0, 8, 8}, KernelEngine::kSeparable), ConfigError);
-    const EnvGuard env("RRS_KERNEL_ENGINE", "separable");
-    EXPECT_THROW(gen.generate(Rect{0, 0, 8, 8}), ConfigError);
+    // A configured separable engine fails at construction, not per tile.
+    EXPECT_THROW(ConvolutionGenerator(
+                     ConvolutionKernel::build_truncated(*s, GridSpec::unit_spacing(64, 64), 1e-8),
+                     3, HealthPolicy::kIgnore, KernelEngine::kSeparable),
+                 ConfigError);
+}
+
+TEST(KernelEquivalence, EngineIsPartOfTheFingerprint) {
+    // Engines agree to rounding, not bit for bit, so one address (the
+    // fingerprint) must name one engine.
+    const auto s = make_gaussian({1.0, 6.0, 6.0});
+    const auto kernel = ConvolutionKernel::build_truncated(*s, GridSpec::unit_spacing(64, 64),
+                                                           1e-8);
+    const auto fingerprint = [&](KernelEngine e) {
+        return ConvolutionGenerator(kernel, 9, HealthPolicy::kIgnore, e).fingerprint();
+    };
+    EXPECT_EQ(fingerprint(KernelEngine::kFft), fingerprint(KernelEngine::kFft));
+    EXPECT_EQ(fingerprint(KernelEngine::kAuto), fingerprint(KernelEngine::kSeparable));
+    EXPECT_NE(fingerprint(KernelEngine::kSeparable), fingerprint(KernelEngine::kFft));
+    EXPECT_NE(fingerprint(KernelEngine::kSeparable), fingerprint(KernelEngine::kDirect));
+    EXPECT_NE(fingerprint(KernelEngine::kFft), fingerprint(KernelEngine::kDirect));
+
+    // The inhomogeneous generator hashes its region generators, so the
+    // same rule holds one level up.
+    const auto map = std::make_shared<const CircleMap>(
+        0.0, 0.0, 12.0, make_gaussian({0.4, 10.0, 10.0}), s, 6.0);
+    const auto inhom = [&](KernelEngine e) {
+        InhomogeneousOptions opt;
+        opt.engine = e;
+        return InhomogeneousGenerator(map, GridSpec::unit_spacing(64, 64), 11, opt)
+            .fingerprint();
+    };
+    EXPECT_EQ(inhom(KernelEngine::kDirect), inhom(KernelEngine::kDirect));
+    EXPECT_EQ(inhom(KernelEngine::kAuto), inhom(KernelEngine::kSeparable));
+    EXPECT_NE(inhom(KernelEngine::kSeparable), inhom(KernelEngine::kFft));
+    EXPECT_NE(inhom(KernelEngine::kSeparable), inhom(KernelEngine::kDirect));
 }
 
 TEST(KernelEquivalence, EngineNamesRoundTripAndRejectUnknown) {
@@ -275,47 +295,59 @@ TEST(KernelEquivalence, EngineNamesRoundTripAndRejectUnknown) {
 }
 
 TEST(KernelEquivalence, SimdPrimitivesMatchScalarReference) {
-    EXPECT_NE(simd::backend(), nullptr);
+    // The primitives are defined as sequential std::fma chains; the
+    // four-row blocks and the remainders must not change a bit of that.
     std::uint64_t state = 0x51D5EED5;
+    const auto draw = [&state](double scale) {
+        return static_cast<double>(static_cast<std::int64_t>(splitmix64(state) % 2001) -
+                                   1000) /
+               scale;
+    };
     for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{3},
-                                std::size_t{4}, std::size_t{7}, std::size_t{8},
-                                std::size_t{9}, std::size_t{17}, std::size_t{64},
-                                std::size_t{1000}}) {
-        std::vector<double> a(n);
-        std::vector<double> b(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            a[i] = static_cast<double>(static_cast<std::int64_t>(
-                       splitmix64(state) % 2001) - 1000) / 997.0;
-            b[i] = static_cast<double>(static_cast<std::int64_t>(
-                       splitmix64(state) % 2001) - 1000) / 1009.0;
+                                std::size_t{4}, std::size_t{5}, std::size_t{17},
+                                std::size_t{64}}) {
+        for (std::size_t count = 0; count <= 9; ++count) {
+            // count rows of stride n + 2 (rows need not be adjacent).
+            const std::size_t stride = n + 2;
+            std::vector<double> rows(count * stride);
+            std::vector<double> c(count);
+            std::vector<double> y(n);
+            for (double& v : rows) {
+                v = draw(997.0);
+            }
+            for (double& v : c) {
+                v = draw(1009.0);
+            }
+            for (double& v : y) {
+                v = draw(991.0);
+            }
+            std::vector<double> expect = y;
+            for (std::size_t i = 0; i < n; ++i) {
+                for (std::size_t k = 0; k < count; ++k) {
+                    expect[i] = std::fma(c[k], rows[k * stride + i], expect[i]);
+                }
+            }
+            simd::accumulate(y.data(), rows.data(), stride, c.data(), count, n);
+            for (std::size_t i = 0; i < n; ++i) {
+                ASSERT_EQ(y[i], expect[i]) << "accumulate n=" << n << " count=" << count
+                                           << " i=" << i;
+            }
         }
-        // dot
-        double ref = 0.0;
-        for (std::size_t i = 0; i < n; ++i) {
-            ref += a[i] * b[i];
-        }
-        EXPECT_NEAR(simd::dot(a.data(), b.data(), n), ref, 1e-12) << "dot n=" << n;
-        // axpy
-        std::vector<double> y = b;
-        simd::axpy(y.data(), a.data(), 1.75, n);
-        for (std::size_t i = 0; i < n; ++i) {
-            EXPECT_NEAR(y[i], b[i] + 1.75 * a[i], 1e-13) << "axpy n=" << n << " i=" << i;
-        }
-        // cmul
         std::vector<std::complex<double>> ca(n);
         std::vector<std::complex<double>> cb(n);
         for (std::size_t i = 0; i < n; ++i) {
-            ca[i] = {a[i], b[i]};
-            cb[i] = {b[i], a[i]};
+            ca[i] = {draw(997.0), draw(1009.0)};
+            cb[i] = {draw(1013.0), draw(983.0)};
         }
         std::vector<std::complex<double>> expect = ca;
         for (std::size_t i = 0; i < n; ++i) {
-            expect[i] *= cb[i];
+            const double ar = ca[i].real(), ai = ca[i].imag();
+            const double br = cb[i].real(), bi = cb[i].imag();
+            expect[i] = {std::fma(ar, br, -(ai * bi)), std::fma(ai, br, ar * bi)};
         }
         simd::cmul(ca.data(), cb.data(), n);
         for (std::size_t i = 0; i < n; ++i) {
-            EXPECT_NEAR(std::abs(ca[i] - expect[i]), 0.0, 1e-13)
-                << "cmul n=" << n << " i=" << i;
+            ASSERT_EQ(ca[i], expect[i]) << "cmul n=" << n << " i=" << i;
         }
     }
 }

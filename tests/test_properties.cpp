@@ -1,16 +1,20 @@
 // Cross-cutting property sweeps: engine equality across every spectrum
-// family and kernel shape, determinism across thread counts, and golden
-// reproducibility anchors for the stateless noise function.
+// family and kernel shape, determinism across thread counts, golden
+// reproducibility anchors for the stateless noise function, and golden
+// tile-byte hashes that pin the numeric contract.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <tuple>
 
 #include "core/convolution.hpp"
 #include "core/direct_dft.hpp"
 #include "core/inhomogeneous.hpp"
 #include "rng/gaussian.hpp"
+#include "service/tile_service.hpp"
 
 namespace rrs {
 namespace {
@@ -140,6 +144,69 @@ TEST(Golden, SurfaceChecksum) {
     EXPECT_LT(max_abs_diff(f, fd), 1e-10);
     EXPECT_TRUE(std::isfinite(total));
     EXPECT_LT(std::abs(total), 1024.0);  // mean within ±1 of zero
+}
+
+// --- golden tile bytes: the numeric contract ---------------------------------
+//
+// One (fingerprint, tile) names one set of bytes in every build: the fused
+// primitives and -ffp-contract=off leave the compiler no rounding to choose
+// (DESIGN.md §15.3), so these hashes hold unchanged in the release,
+// sanitize, coverage and tsan presets and with RRS_ENABLE_NATIVE_ARCH=OFF.
+// glibc picks its log, cos and exp variants by CPU at run time (the noise
+// and the kernel spectra call them), so the constants are pinned per host
+// CPU class, not across every host.  An intentional numeric change updates
+// them and is recorded in CHANGES.md: it changes every served byte.
+
+std::uint64_t fnv1a(const Array2D<double>& f) {
+    std::uint64_t h = 0xCBF29CE484222325ULL;
+    const auto* p = reinterpret_cast<const unsigned char*>(f.data());
+    for (std::size_t i = 0; i < f.size() * sizeof(double); ++i) {
+        h = (h ^ p[i]) * 0x100000001B3ULL;
+    }
+    return h;
+}
+
+ConvolutionGenerator golden_gen(const SpectrumPtr& s, KernelEngine engine) {
+    return ConvolutionGenerator(
+        ConvolutionKernel::build_truncated(*s, GridSpec::unit_spacing(64, 64), 1e-8), 2024,
+        HealthPolicy::kIgnore, engine);
+}
+
+InhomogeneousGenerator golden_blend() {
+    const auto map = std::make_shared<const CircleMap>(
+        0.0, 0.0, 20.0, make_exponential({0.3, 6.0, 6.0}), make_gaussian({1.0, 6.0, 6.0}),
+        8.0);
+    return InhomogeneousGenerator(map, GridSpec::unit_spacing(64, 64), 2024);
+}
+
+TEST(Golden, SeparableGaussianTileBytes) {
+    const auto gen = golden_gen(make_gaussian({1.0, 5.0, 7.0}), KernelEngine::kAuto);
+    ASSERT_EQ(gen.engine(), KernelEngine::kSeparable);
+    EXPECT_EQ(fnv1a(gen.generate(Rect{-13, 21, 37, 29})), 0xD1B8D17D72183A85ULL);
+}
+
+TEST(Golden, FftExponentialTileBytes) {
+    const auto gen = golden_gen(make_exponential({1.0, 6.0, 6.0}), KernelEngine::kAuto);
+    ASSERT_EQ(gen.engine(), KernelEngine::kFft);
+    EXPECT_EQ(fnv1a(gen.generate(Rect{5, -40, 33, 30})), 0x63CE41D03588DBE7ULL);
+}
+
+TEST(Golden, DirectEngineTileBytes) {
+    const auto gen = golden_gen(make_power_law({1.0, 5.0, 5.0}, 3.5), KernelEngine::kDirect);
+    EXPECT_EQ(fnv1a(gen.generate(Rect{-7, -9, 17, 15})), 0xB6E957BF2A6F3396ULL);
+}
+
+TEST(Golden, InhomogeneousBlendTileBytes) {
+    const auto gen = golden_blend();
+    EXPECT_EQ(fnv1a(gen.generate(Rect{-24, -6, 48, 30})), 0x844F6ABBA2C08AD4ULL);
+}
+
+TEST(Golden, ZoomedServiceTileBytes) {
+    const auto gen = golden_blend();
+    TileService::Options opt;
+    opt.shape = TileShape{32, 32};
+    TileService service(gen, opt);
+    EXPECT_EQ(fnv1a(*service.get(TileKey{-1, 0, 1})), 0xFEA1AB5D77FC85A7ULL);
 }
 
 // --- direct-DFT vs convolution variance across sizes -------------------------

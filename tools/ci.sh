@@ -1,10 +1,14 @@
 #!/usr/bin/env bash
-# CI driver — eleven stages, each runnable on its own:
+# CI stages — twelve of them, each runnable on its own:
 #
-#   tools/ci.sh             # all stages: lint, release, sanitize, fuzz, tsan,
-#                           # chaos, tidy, perf, store, cluster, coverage
+#   tools/ci.sh             # all stages: lint, release, numeric, sanitize,
+#                           # fuzz, tsan, chaos, tidy, perf, store, cluster,
+#                           # coverage
 #   tools/ci.sh lint        # rrslint conventions + lint fixtures (no build)
 #   tools/ci.sh release     # build + tier 1 (-LE "stats|race|chaos") + tier 2 (-L stats)
+#   tools/ci.sh numeric     # native vs -DRRS_ENABLE_NATIVE_ARCH=OFF rrsd: f64
+#                           # tiles, fingerprints and ETags must be identical;
+#                           # Golden.* under the native-off build
 #   tools/ci.sh sanitize    # tier 1 under ASan+UBSan
 #   tools/ci.sh fuzz        # fuzz harnesses (DESIGN.md §16): 60 s/harness of
 #                           # libFuzzer when clang provides it, corpus replay
@@ -58,6 +62,82 @@ run_release() {
     rrstile_smoke build
     rrsgen_trace_smoke build
     rrsd_smoke build
+}
+
+run_numeric() {
+    # The numeric contract (DESIGN.md §15.3.1): the source, not the build,
+    # fixes every rounding.  Serve the paper's scenes from the native
+    # Release rrsd and from a -DRRS_ENABLE_NATIVE_ARCH=OFF one, fetch f64
+    # tiles at z = 0 and z = 1 from each, and require identical bodies,
+    # X-RRS-Fingerprint and ETag.  Then run the Golden byte hashes under the
+    # native-off build.
+    build_preset release build
+    local off=build-native-off
+    if [[ -f "$off/CMakeCache.txt" ]] &&
+        ! grep -q '^CMAKE_GENERATOR:INTERNAL=Ninja$' "$off/CMakeCache.txt"; then
+        rm -rf "$off"
+    fi
+    echo "==> [numeric] configure + build $off (RRS_ENABLE_NATIVE_ARCH=OFF)"
+    cmake -S . -B "$off" -G Ninja -DCMAKE_BUILD_TYPE=Release \
+        -DRRS_ENABLE_NATIVE_ARCH=OFF -DRRS_BUILD_BENCH=OFF \
+        -DRRS_BUILD_EXAMPLES=OFF -DRRS_BUILD_FUZZ=OFF > /dev/null
+    cmake --build "$off" -j "$(nproc)" --target rrsd rrsquery test_properties
+
+    local work scene name q n=0
+    work=$(mktemp -d)
+    local -a tiles=('tx=0&ty=0&z=0' 'tx=-1&ty=1&z=0' 'tx=0&ty=0&z=1' 'tx=-1&ty=0&z=1')
+    for scene in scenes/fig1_quadrants.rrs scenes/fig3_pond.rrs scenes/fig4_points.rrs; do
+        name=$(basename "$scene" .rrs)
+        numeric_fetch build "$scene" "$work/native.$name" tiles
+        numeric_fetch "$off" "$scene" "$work/off.$name" tiles
+        for q in "${!tiles[@]}"; do
+            if ! cmp -s "$work/native.$name.$q.body" "$work/off.$name.$q.body" ||
+                ! cmp -s "$work/native.$name.$q.ids" "$work/off.$name.$q.ids"; then
+                echo "==> numeric: $name '${tiles[$q]}' differs between native and" \
+                    "native-off builds" >&2
+                diff "$work/native.$name.$q.ids" "$work/off.$name.$q.ids" >&2 || true
+                return 1
+            fi
+            n=$((n + 1))
+        done
+    done
+    echo "    numeric ok: $n f64 tiles, fingerprints and ETags identical"
+    rm -rf "$work"
+    echo "==> [numeric] Golden.* ($off)"
+    "$off/tests/test_properties" --gtest_filter='Golden.*'
+}
+
+# Boot DIR's rrsd on SCENE, fetch each tile query of the named array as
+# q=f64 into "<prefix>.<index>.body" and its X-RRS-Fingerprint and ETag
+# lines into "<prefix>.<index>.ids", then drain the daemon.
+numeric_fetch() {
+    local dir=$1 scene=$2 prefix=$3
+    local -n queries=$4
+    local port_file pid port i
+    port_file=$(mktemp -u)
+    "$dir/tools/rrsd" "$scene" --port 0 --port-file "$port_file" --quiet > /dev/null &
+    pid=$!
+    if ! wait_for_port_file "$port_file"; then
+        echo "==> numeric: $dir rrsd never published its port" >&2
+        kill -9 "$pid" 2>/dev/null || true
+        return 1
+    fi
+    port=$(cat "$port_file")
+    for i in "${!queries[@]}"; do
+        "$dir/tools/rrsquery" "127.0.0.1:$port" "/v1/tile?${queries[$i]}&q=f64" \
+            --timeout-ms 120000 --headers --out "$prefix.$i.body" \
+            2> "$prefix.$i.hdr" > /dev/null
+        grep -i -E '^(x-rrs-fingerprint|etag):' "$prefix.$i.hdr" | tr -d '\r' \
+            > "$prefix.$i.ids"
+        if [[ $(wc -l < "$prefix.$i.ids") -ne 2 ]]; then
+            echo "==> numeric: no fingerprint or ETag for '${queries[$i]}'" >&2
+            kill -TERM "$pid"
+            return 1
+        fi
+    done
+    kill -TERM "$pid"
+    wait "$pid" || true
+    rm -f "$port_file"
 }
 
 run_sanitize() {
@@ -685,6 +765,7 @@ want=${1:-all}
 case "$want" in
     lint)     run_lint ;;
     release)  run_release ;;
+    numeric)  run_numeric ;;
     sanitize) run_sanitize ;;
     fuzz)     run_fuzz ;;
     tsan)     run_tsan ;;
@@ -694,10 +775,10 @@ case "$want" in
     store)    run_store ;;
     cluster)  run_cluster ;;
     coverage) run_coverage ;;
-    all)      run_lint; run_release; run_sanitize; run_fuzz; run_tsan
+    all)      run_lint; run_release; run_numeric; run_sanitize; run_fuzz; run_tsan
               run_chaos; run_tidy; run_perf; run_store; run_cluster
               run_coverage ;;
-    *)  echo "usage: tools/ci.sh [lint|release|sanitize|fuzz|tsan|chaos|tidy|perf|store|cluster|coverage|all]" >&2
+    *)  echo "usage: tools/ci.sh [lint|release|numeric|sanitize|fuzz|tsan|chaos|tidy|perf|store|cluster|coverage|all]" >&2
         exit 2 ;;
 esac
 echo "==> ci: all requested stages passed"

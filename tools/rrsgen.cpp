@@ -12,7 +12,7 @@
 // health policy: `throw` aborts on NaN/Inf or implausible statistics,
 // `report` prints a diagnostic and keeps going, `ignore` skips the guards.
 // --engine NAME (auto | direct | fft | separable) overrides the scene's
-// kernel engine (engine.hpp); RRS_KERNEL_ENGINE overrides both.
+// kernel engine (engine.hpp).
 // --trace FILE enables span tracing for the render and writes a Chrome
 // trace_event JSON file (load in chrome://tracing or Perfetto);
 // --metrics prints the library metrics registry as one JSON line.
