@@ -1,6 +1,7 @@
 #include "cluster/client.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <condition_variable>
 #include <cstring>
 #include <future>
@@ -279,14 +280,18 @@ Array2D<double> decode_tile_f64(std::string_view body, std::int64_t nx,
     }
     Array2D<double> out(static_cast<std::size_t>(nx), static_cast<std::size_t>(ny));
     double* dst = out.data();
-    const auto* src = reinterpret_cast<const unsigned char*>(body.data());
-    for (std::size_t i = 0; i < out.size(); ++i) {
-        std::uint64_t bits = 0;
-        for (std::size_t b = 0; b < 8; ++b) {
-            bits |= static_cast<std::uint64_t>(src[i * 8 + b]) << (8 * b);
+    if constexpr (std::endian::native == std::endian::little) {
+        std::memcpy(dst, body.data(), expected);
+    } else {
+        const auto* src = reinterpret_cast<const unsigned char*>(body.data());
+        for (std::size_t i = 0; i < out.size(); ++i) {
+            std::uint64_t bits = 0;
+            for (std::size_t b = 0; b < 8; ++b) {
+                bits |= static_cast<std::uint64_t>(src[i * 8 + b]) << (8 * b);
+            }
+            static_assert(sizeof(bits) == sizeof(double));
+            std::memcpy(&dst[i], &bits, sizeof(bits));
         }
-        static_assert(sizeof(bits) == sizeof(double));
-        std::memcpy(&dst[i], &bits, sizeof(bits));
     }
     return out;
 }
@@ -317,18 +322,16 @@ std::string url_encode(std::string_view s) {
 /// sticky per connection).
 struct ClusterClient::NodeState {
     NodeState(const NodeSpec& node_spec, const ClusterOptions& opt,
-              obs::MetricsRegistry& registry)
+              obs::MetricsRegistry& registry, const std::string& prefix)
         : spec(node_spec),
           fault_site("cluster.forward." + node_spec.name),
           breaker(fault::CircuitBreaker::Options{
               opt.breaker_failures, opt.breaker_open_ms,
               opt.breaker_half_open_successes,
-              &registry.gauge("cluster.breaker.state." + node_spec.name),
-              &registry.counter("cluster.breaker.opened")}),
-          requests(registry.counter("cluster.node." + node_spec.name +
-                                    ".requests")),
-          failures(registry.counter("cluster.node." + node_spec.name +
-                                    ".failures")) {}
+              &registry.gauge(prefix + "breaker.state." + node_spec.name),
+              &registry.counter(prefix + "breaker.opened")}),
+          requests(registry.counter(prefix + "node." + node_spec.name + ".requests")),
+          failures(registry.counter(prefix + "node." + node_spec.name + ".failures")) {}
 
     NodeSpec spec;
     std::string fault_site;
@@ -342,7 +345,8 @@ struct ClusterClient::NodeState {
     std::size_t total = 0;
 };
 
-ClusterClient::ClusterClient(Topology topology, ClusterOptions opt)
+ClusterClient::ClusterClient(Topology topology, ClusterOptions opt,
+                             const std::string& metric_prefix)
     : map_(std::move(topology)),
       opt_(opt),
       registry_(opt.registry != nullptr ? opt.registry
@@ -357,13 +361,14 @@ ClusterClient::ClusterClient(Topology topology, ClusterOptions opt)
     }
     nodes_.reserve(map_.size());
     for (std::size_t i = 0; i < map_.size(); ++i) {
-        nodes_.push_back(std::make_unique<NodeState>(map_.node(i), opt_, *registry_));
+        nodes_.push_back(
+            std::make_unique<NodeState>(map_.node(i), opt_, *registry_, metric_prefix));
     }
     fanout_ = std::make_unique<ThreadPool>(opt_.fanout_threads);
-    forwards_ = &registry_->counter("cluster.forwards");
-    windows_ = &registry_->counter("cluster.windows");
-    short_circuited_ = &registry_->counter("cluster.short_circuited");
-    registry_->gauge("cluster.nodes").set(static_cast<std::int64_t>(map_.size()));
+    forwards_ = &registry_->counter(metric_prefix + "forwards");
+    windows_ = &registry_->counter(metric_prefix + "windows");
+    short_circuited_ = &registry_->counter(metric_prefix + "short_circuited");
+    registry_->gauge(metric_prefix + "nodes").set(static_cast<std::int64_t>(map_.size()));
 }
 
 ClusterClient::~ClusterClient() = default;

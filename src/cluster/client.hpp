@@ -123,7 +123,13 @@ struct ClusterOptions {
 /// concurrently (the proxy serves them from HttpServer workers).
 class ClusterClient {
 public:
-    explicit ClusterClient(Topology topology, ClusterOptions opt = {});
+    /// `metric_prefix` names the client's metrics (`<prefix>nodes`,
+    /// `<prefix>forwards`, `<prefix>breaker.state.<node>`,
+    /// `<prefix>node.<node>.requests`, ...): "cluster." for the fleet a
+    /// proxy serves, "cluster.prev." for a shard's previous-epoch peer-fill
+    /// client, so its /metrics never shows the old fleet as its own.
+    explicit ClusterClient(Topology topology, ClusterOptions opt = {},
+                           const std::string& metric_prefix = "cluster.");
     ~ClusterClient();
 
     ClusterClient(const ClusterClient&) = delete;
@@ -208,9 +214,9 @@ private:
     std::atomic<bool> discovered_{false};
     std::map<std::string, SceneInfo> scenes_;
 
-    obs::Counter* forwards_ = nullptr;         ///< cluster.forwards
-    obs::Counter* windows_ = nullptr;          ///< cluster.windows
-    obs::Counter* short_circuited_ = nullptr;  ///< cluster.short_circuited
+    obs::Counter* forwards_ = nullptr;         ///< <prefix>forwards
+    obs::Counter* windows_ = nullptr;          ///< <prefix>windows
+    obs::Counter* short_circuited_ = nullptr;  ///< <prefix>short_circuited
 };
 
 }  // namespace rrs::cluster

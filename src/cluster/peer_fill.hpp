@@ -36,8 +36,10 @@
 /// epoch's peers are reached through one ClusterClient per process, shared
 /// by every scene: one connection pool and one circuit breaker per peer,
 /// so a decommissioned previous owner degrades into fast local generation
-/// instead of per-tile connect timeouts, and its `cluster.breaker.state.*`
-/// gauge has a single writer.
+/// instead of per-tile connect timeouts, and its breaker gauge has a
+/// single writer.  rrsd names that client's own metrics `cluster.prev.*`
+/// (`cluster.prev.nodes`, `cluster.prev.breaker.state.<node>`,
+/// `cluster.prev.node.<node>.requests`), apart from a proxy's fleet.
 ///
 /// Counters (in the client's registry): `cluster.peer_fills` (tiles served
 /// from a peer — the reshard acceptance counter), `cluster.peer_fill_misses`

@@ -139,8 +139,9 @@ net::Router make_cluster_router(std::shared_ptr<ClusterClient> client,
         // The shards' own index document, with the fleet block spliced in
         // before its closing brace.
         net::HttpResponse resp = state->tile_routes().dispatch(req);
-        resp.body.insert(resp.body.size() - 1,
-                         ",\"cluster\":" + fleet_json(state->client->map()));
+        std::string body(resp.body());
+        body.insert(body.size() - 1, ",\"cluster\":" + fleet_json(state->client->map()));
+        resp.set_body(std::move(body));
         return resp;
     });
     for (const char* path : {"/tracez", "/v1/tile", "/v1/window", "/v1/pyramid"}) {

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cctype>
-#include <sstream>
+#include <charconv>
+
+#include "core/validate.hpp"
 
 namespace rrs::net {
 
@@ -115,10 +117,16 @@ std::size_t HttpRequest::content_length() const {
     return std::stoull(*raw);
 }
 
+void HttpResponse::set_body(std::string bytes) {
+    auto owned = std::make_shared<const std::string>(std::move(bytes));
+    body_ = *owned;
+    body_owner_ = std::move(owned);
+}
+
 HttpResponse HttpResponse::text(int status, std::string body) {
     HttpResponse r;
     r.status = status;
-    r.body = std::move(body);
+    r.set_body(std::move(body));
     return r;
 }
 
@@ -126,14 +134,24 @@ HttpResponse HttpResponse::json(int status, std::string body) {
     HttpResponse r;
     r.status = status;
     r.content_type = "application/json";
-    r.body = std::move(body);
+    r.set_body(std::move(body));
     return r;
 }
 
 HttpResponse HttpResponse::octets(std::string body) {
     HttpResponse r;
     r.content_type = "application/octet-stream";
-    r.body = std::move(body);
+    r.set_body(std::move(body));
+    return r;
+}
+
+HttpResponse HttpResponse::octets(std::shared_ptr<const void> owner, std::string_view bytes) {
+    HttpResponse r;
+    r.content_type = "application/octet-stream";
+    RRS_CHECK(owner != nullptr || bytes.empty(), "HttpResponse",
+              "a non-empty body needs an owner");
+    r.body_ = bytes;
+    r.body_owner_ = std::move(owner);
     return r;
 }
 
@@ -270,18 +288,56 @@ HttpRequest parse_request_head(std::string_view head, const RequestLimits& limit
     return req;
 }
 
-std::string serialize_response(const HttpResponse& r, bool keep_alive) {
-    std::ostringstream out;
-    out << "HTTP/1.1 " << r.status << ' ' << status_reason(r.status) << "\r\n"
-        << "Content-Type: " << r.content_type << "\r\n"
-        << "Content-Length: " << r.body.size() << "\r\n"
-        << "Connection: " << (keep_alive && !r.close ? "keep-alive" : "close")
-        << "\r\n";
+namespace {
+
+/// The response head, in a string with room for `body_capacity` more bytes.
+std::string head_with_room(const HttpResponse& r, bool keep_alive,
+                           std::size_t body_capacity) {
+    const std::string_view reason = status_reason(r.status);
+    const std::string_view connection = keep_alive && !r.close ? "keep-alive" : "close";
+    // Fixed text plus two decimal numbers of at most 20 digits each.
+    std::size_t size = 96 + reason.size() + r.content_type.size() + connection.size();
     for (const auto& [name, value] : r.extra_headers) {
-        out << name << ": " << value << "\r\n";
+        size += name.size() + value.size() + 4;
     }
-    out << "\r\n" << r.body;
-    return out.str();
+    std::string out;
+    out.reserve(size + body_capacity);
+    char num[24];
+    const auto append_number = [&](auto v) {
+        const auto res = std::to_chars(num, num + sizeof(num), v);
+        out.append(num, res.ptr);
+    };
+    out += "HTTP/1.1 ";
+    append_number(r.status);
+    out += ' ';
+    out += reason;
+    out += "\r\nContent-Type: ";
+    out += r.content_type;
+    out += "\r\nContent-Length: ";
+    append_number(r.body().size());
+    out += "\r\nConnection: ";
+    out += connection;
+    out += "\r\n";
+    for (const auto& [name, value] : r.extra_headers) {
+        out += name;
+        out += ": ";
+        out += value;
+        out += "\r\n";
+    }
+    out += "\r\n";
+    return out;
+}
+
+}  // namespace
+
+std::string serialize_head(const HttpResponse& r, bool keep_alive) {
+    return head_with_room(r, keep_alive, 0);
+}
+
+std::string serialize_response(const HttpResponse& r, bool keep_alive) {
+    std::string out = head_with_room(r, keep_alive, r.body().size());
+    out += r.body();
+    return out;
 }
 
 std::string json_escape(std::string_view s) {

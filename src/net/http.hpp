@@ -12,7 +12,9 @@
 ///  * Targets: absolute paths with an optional query string; `%XX` and `+`
 ///    decoding in both path and query values.
 ///  * Responses: status line + `Content-Length` + `Connection` (+ caller
-///    headers), then the body.  No chunked encoding, no trailers.
+///    headers), then the body.  No chunked encoding, no trailers.  The
+///    head is serialized on its own; the body is an immutable shared view
+///    the server writes after it in one gather write, never copied.
 ///
 /// Parsing is pure (bytes in, struct out) so every negative path is
 /// unit-testable without a socket; the wire loops live in server.cpp /
@@ -23,6 +25,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -67,18 +70,35 @@ struct HttpRequest {
 };
 
 /// One response to serialize.  `Content-Length` and `Connection` are
-/// emitted by serialize_response; everything else goes through
+/// emitted by serialize_head; everything else goes through
 /// `extra_headers`.
+///
+/// The body is held once: a read-only view of bytes that a refcounted
+/// owner keeps alive — a string the handler built, a cached tile's own
+/// storage, or an encoding held on the tile's cache entry — so copies of a
+/// response share one body and the server writes it without copying.  The
+/// two are private and set together, so every view has its owner.
 struct HttpResponse {
     int status = 200;
     std::string content_type = "text/plain; charset=utf-8";
-    std::string body;
     std::vector<std::pair<std::string, std::string>> extra_headers;
     bool close = false;  ///< force `Connection: close` regardless of request
+
+    /// The body bytes (empty by default).
+    std::string_view body() const noexcept { return body_; }
+
+    /// Own `bytes` (moved into a shared string) and view them.
+    void set_body(std::string bytes);
 
     static HttpResponse text(int status, std::string body);
     static HttpResponse json(int status, std::string body);
     static HttpResponse octets(std::string body);
+    /// Binary body `bytes`, which `owner` keeps alive (no copy).
+    static HttpResponse octets(std::shared_ptr<const void> owner, std::string_view bytes);
+
+private:
+    std::string_view body_;
+    std::shared_ptr<const void> body_owner_;
 };
 
 /// Canonical reason phrase ("OK", "Not Found", ...; "Unknown" otherwise).
@@ -99,8 +119,14 @@ HttpRequest parse_request_head(std::string_view head, const RequestLimits& limit
 /// malformed escapes.
 std::string url_decode(std::string_view s);
 
-/// Serialize a response head + body.  `keep_alive` is the connection
-/// decision already made by the server (request wish && !r.close && !drain).
+/// Serialize a response head: status line, headers and the blank line,
+/// with `Content-Length` taken from `r.body`.  `keep_alive` is the
+/// connection decision already made by the server (request wish &&
+/// !r.close && !drain).  The server sends the body after it in the same
+/// gather write.
+std::string serialize_head(const HttpResponse& r, bool keep_alive);
+
+/// Head + body in one string: the bytes the server writes for `r`.
 std::string serialize_response(const HttpResponse& r, bool keep_alive);
 
 /// Minimal JSON string escaping (backslash, quote, control characters).

@@ -151,11 +151,18 @@ void HttpServer::shed_connection(Socket conn) {
     resp.extra_headers.emplace_back("Retry-After", "1");
     m_requests_.add();
     m_shed_.add();
-    const std::string wire = serialize_response(resp, /*keep_alive=*/false);
-    if (send_all(conn, wire.data(), wire.size())) {
-        m_bytes_out_.add(wire.size());
-    }
+    write_response(conn, resp, /*keep_alive=*/false);
     // `conn` closes on return.
+}
+
+bool HttpServer::write_response(const Socket& sock, const HttpResponse& resp,
+                                bool keep_alive) {
+    const std::string head = serialize_head(resp, keep_alive);
+    if (!send_gather(sock, head, resp.body())) {
+        return false;
+    }
+    m_bytes_out_.add(head.size() + resp.body().size());
+    return true;
 }
 
 void HttpServer::count_response(int status) noexcept {
@@ -208,13 +215,9 @@ void HttpServer::serve_connection(const std::shared_ptr<ConnSlot>& slot) {
                         status = 431;
                         message = "request head too large";
                     }
-                    HttpResponse resp = error_response(status, message);
                     count_response(status);
-                    const std::string wire =
-                        serialize_response(resp, /*keep_alive=*/false);
-                    if (send_all(sock, wire.data(), wire.size())) {
-                        m_bytes_out_.add(wire.size());
-                    }
+                    write_response(sock, error_response(status, message),
+                                   /*keep_alive=*/false);
                 }
                 break;
             }
@@ -282,10 +285,7 @@ void HttpServer::serve_connection(const std::shared_ptr<ConnSlot>& slot) {
             count_response(resp.status);
             {
                 RRS_TRACE_SPAN("net.write");
-                const std::string wire = serialize_response(resp, keep_alive);
-                if (send_all(sock, wire.data(), wire.size())) {
-                    m_bytes_out_.add(wire.size());
-                } else {
+                if (!write_response(sock, resp, keep_alive)) {
                     close_now = true;  // peer gone or write deadline expired
                 }
             }

@@ -34,7 +34,7 @@
 ///   net.shed           connections answered 503 at the admission gate
 ///   net.ready          gauge: 1 while accepting traffic, 0 once draining
 ///                      or after listener breakage (feeds /readyz)
-///   net.bytes_out      response bytes actually written
+///   net.bytes_out      response bytes actually written (head + body)
 ///   net.latency        µs from complete request head to response written
 /// Spans: net.accept, net.parse, net.handle, net.write.
 
@@ -122,6 +122,11 @@ private:
     void shed_connection(Socket conn);
     void unregister(const std::shared_ptr<ConnSlot>& slot);
     void set_handling(const std::shared_ptr<ConnSlot>& slot, bool handling);
+
+    /// Send `resp` as its head plus its shared body in one gather write;
+    /// adds the bytes to net.bytes_out.  False when the peer went away or
+    /// the write deadline expired.
+    bool write_response(const Socket& sock, const HttpResponse& resp, bool keep_alive);
 
     /// Count one produced response into the requests/status identity.
     void count_response(int status) noexcept;

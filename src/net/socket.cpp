@@ -6,6 +6,7 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -229,20 +230,39 @@ RecvResult recv_some(const Socket& s, char* buf, std::size_t max) noexcept {
 }
 
 bool send_all(const Socket& s, const char* data, std::size_t n) noexcept {
+    return send_gather(s, std::string_view(data, n), {});
+}
+
+bool send_gather(const Socket& s, std::string_view head, std::string_view body) noexcept {
     if (fault::inject("net.send")) {
         return false;  // injected: peer gone mid-write
     }
-    std::size_t sent = 0;
-    while (sent < n) {
-        const ssize_t w = ::send(s.fd(), data + sent, n - sent, MSG_NOSIGNAL);
-        if (w > 0) {
-            sent += static_cast<std::size_t>(w);
+    iovec iov[2] = {{const_cast<char*>(head.data()), head.size()},
+                    {const_cast<char*>(body.data()), body.size()}};
+    std::size_t first = 0;  // first iovec with bytes left
+    while (first < 2) {
+        if (iov[first].iov_len == 0) {
+            ++first;
             continue;
         }
+        msghdr msg{};
+        msg.msg_iov = iov + first;
+        msg.msg_iovlen = 2 - first;
+        const ssize_t w = ::sendmsg(s.fd(), &msg, MSG_NOSIGNAL);
         if (w < 0 && errno == EINTR) {
             continue;
         }
-        return false;  // peer gone, or SO_SNDTIMEO expired (EAGAIN)
+        if (w <= 0) {
+            return false;  // peer gone, or SO_SNDTIMEO expired (EAGAIN)
+        }
+        // Advance past what a short write took, possibly across both views.
+        auto left = static_cast<std::size_t>(w);
+        for (std::size_t i = first; i < 2 && left > 0; ++i) {
+            const std::size_t take = std::min(left, iov[i].iov_len);
+            iov[i].iov_base = static_cast<char*>(iov[i].iov_base) + take;
+            iov[i].iov_len -= take;
+            left -= take;
+        }
     }
     return true;
 }

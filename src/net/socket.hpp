@@ -30,6 +30,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "core/error.hpp"
 
@@ -118,6 +119,12 @@ RecvResult recv_some(const Socket& s, char* buf, std::size_t max) noexcept;
 /// Write all `n` bytes (looping over short writes, SIGPIPE suppressed).
 /// Returns false when the peer went away or the send deadline expired.
 bool send_all(const Socket& s, const char* data, std::size_t n) noexcept;
+
+/// Write `head` then `body` with gather `sendmsg` calls (looping over short
+/// writes, SIGPIPE suppressed): a response goes out without first being
+/// copied into one buffer.  One `net.send` fault draw per call.  Returns
+/// false when the peer went away or the send deadline expired.
+bool send_gather(const Socket& s, std::string_view head, std::string_view body) noexcept;
 
 /// shutdown(SHUT_RDWR) on a raw fd: wakes a thread blocked in recv() on the
 /// same descriptor without closing it — the graceful-drain nudge.  Safe on

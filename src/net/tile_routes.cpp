@@ -1,5 +1,7 @@
 #include "net/tile_routes.hpp"
 
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -15,6 +17,135 @@
 namespace rrs::net {
 
 namespace {
+
+static_assert(std::endian::native == std::endian::little ||
+                  std::endian::native == std::endian::big,
+              "the wire encoders need a little- or big-endian host");
+
+/// Samples a block encoder converts on the stack before one copy out.
+constexpr std::size_t kBlock = 512;
+
+/// Write `n` values to `dst` as little-endian bytes: one memcpy on a
+/// little-endian host, each value's bytes reversed on a big-endian one.
+template <typename Word>
+void store_le(const Word* words, std::size_t n, char* dst) {
+    if (n == 0) {
+        return;  // an empty tile's data() may be null, which memcpy must not see
+    }
+    if constexpr (std::endian::native == std::endian::little) {
+        std::memcpy(dst, words, n * sizeof(Word));
+    } else {
+        for (std::size_t i = 0; i < n; ++i) {
+            char bytes[sizeof(Word)];
+            std::memcpy(bytes, &words[i], sizeof(Word));
+            for (std::size_t b = 0; b < sizeof(Word); ++b) {
+                dst[i * sizeof(Word) + b] = bytes[sizeof(Word) - 1 - b];
+            }
+        }
+    }
+}
+
+void encode_f32_into(const double* src, std::size_t n, char* dst) {
+    float block[kBlock];
+    for (std::size_t i0 = 0; i0 < n; i0 += kBlock) {
+        const std::size_t m = n - i0 < kBlock ? n - i0 : kBlock;
+        for (std::size_t i = 0; i < m; ++i) {
+            block[i] = static_cast<float>(src[i0 + i]);
+        }
+        store_le(block, m, dst + i0 * sizeof(float));
+    }
+}
+
+/// value ≈ offset + scale·q: round half away from zero after clamping to
+/// ±32767.  Adding copysign(0.5, q) is the same arithmetic as `q < 0 ?
+/// q − 0.5 : q + 0.5` (−0.0 truncates to 0 either way) without a branch,
+/// so the loop vectorizes.
+void quantize_i16_into(const double* src, std::size_t n, double offset, double scale,
+                       char* dst) {
+    const double inv_scale = 1.0 / scale;
+    std::int16_t block[kBlock];
+    for (std::size_t i0 = 0; i0 < n; i0 += kBlock) {
+        const std::size_t m = n - i0 < kBlock ? n - i0 : kBlock;
+        for (std::size_t i = 0; i < m; ++i) {
+            double q = (src[i0 + i] - offset) * inv_scale;
+            q = q < -32767.0 ? -32767.0 : (q > 32767.0 ? 32767.0 : q);
+            block[i] = static_cast<std::int16_t>(
+                static_cast<std::int32_t>(q + std::copysign(0.5, q)));
+        }
+        store_le(block, m, dst + i0 * sizeof(std::int16_t));
+    }
+}
+
+/// Shortest round-trippable decimal (max_digits10), so decoding the i16
+/// scale/offset headers reproduces the server's doubles exactly.
+std::string exact_decimal(double v) {
+    char num[64];
+    std::snprintf(num, sizeof(num), "%.17g", v);
+    return num;
+}
+
+/// `a` in `enc`, with the headers the encoding adds.
+EncodedBody encode_body(const Array2D<double>& a, WireEncoding enc) {
+    EncodedBody out;
+    switch (enc) {
+        case WireEncoding::kI16: {
+            QuantizedTile q = encode_tile_i16(a);
+            out.bytes = std::move(q.body);
+            out.headers.emplace_back("X-RRS-Scale", exact_decimal(q.scale));
+            out.headers.emplace_back("X-RRS-Offset", exact_decimal(q.offset));
+            break;
+        }
+        case WireEncoding::kF64:
+            out.bytes = encode_tile_f64(a);
+            break;
+        case WireEncoding::kF32:
+            out.bytes = encode_tile_f32(a);
+            break;
+    }
+    return out;
+}
+
+/// An encoded body as a binary response: its bytes, then its headers.
+HttpResponse body_response(const EncodedBodyPtr& body) {
+    HttpResponse resp = HttpResponse::octets(body, body->bytes);
+    resp.extra_headers = body->headers;
+    return resp;
+}
+
+/// The dimensions, scene and fingerprint of a surface body, in X-RRS-*
+/// headers after the encoding's own.
+void add_surface_headers(HttpResponse& resp, const Rect& r, const std::string& scene,
+                         std::uint64_t fingerprint, WireEncoding enc) {
+    resp.extra_headers.emplace_back("X-RRS-Encoding", encoding_name(enc));
+    resp.extra_headers.emplace_back("X-RRS-Nx", std::to_string(r.nx));
+    resp.extra_headers.emplace_back("X-RRS-Ny", std::to_string(r.ny));
+    resp.extra_headers.emplace_back("X-RRS-X0", std::to_string(r.x0));
+    resp.extra_headers.emplace_back("X-RRS-Y0", std::to_string(r.y0));
+    resp.extra_headers.emplace_back("X-RRS-Scene", scene);
+    resp.extra_headers.emplace_back("X-RRS-Fingerprint", std::to_string(fingerprint));
+}
+
+/// The body of the tile at `address` in `enc`, whose bytes the address
+/// fixes: an f64 body on a little-endian host is the tile's own storage;
+/// an f32 or i16 body is encoded on the address's first request and kept
+/// on the tile's cache entry (a big-endian host encodes f64 per request).
+HttpResponse tile_body(TileCache& cache, const TileAddress& address, const TilePtr& tile,
+                       WireEncoding enc) {
+    if (enc == WireEncoding::kF64) {
+        if constexpr (std::endian::native == std::endian::little) {
+            return HttpResponse::octets(tile, {reinterpret_cast<const char*>(tile->data()),
+                                               tile->size() * sizeof(double)});
+        }
+        return body_response(std::make_shared<const EncodedBody>(encode_body(*tile, enc)));
+    }
+    const std::size_t slot = enc == WireEncoding::kF32 ? 0 : 1;
+    EncodedBodyPtr body = cache.find_body(address, slot);
+    if (body == nullptr) {
+        body = std::make_shared<const EncodedBody>(encode_body(*tile, enc));
+        cache.attach_body(address, slot, body);
+    }
+    return body_response(body);
+}
 
 /// Shared routing state, captured by every handler.  Structurally immutable
 /// after make_tile_router; the breakers are internally synchronized, so
@@ -141,8 +272,10 @@ HttpResponse handle_tile(const RouteState& state, const HttpRequest& req) {
             state.stale_served->add();
         }
     }
-    HttpResponse resp = surface_response(*tile, tile_rect(service->shape(), key), *scene,
-                                         service->fingerprint(), query.encoding);
+    HttpResponse resp = tile_body(*service->cache(), TileAddress{service->fingerprint(), key},
+                                  tile, query.encoding);
+    add_surface_headers(resp, tile_rect(service->shape(), key), *scene,
+                        service->fingerprint(), query.encoding);
     resp.extra_headers.emplace_back("ETag", etag);
     if (stale) {
         resp.extra_headers.emplace_back("X-RRS-Stale", "1");
@@ -175,10 +308,22 @@ HttpResponse handle_pyramid(const RouteState& state, const HttpRequest& req) {
     }
     // No stale fallback: a pyramid has no single last-known-good body.
     const auto tiles = state.guarded(*scene, [&] { return service->pyramid(top, min_z); });
-    std::string body;
-    body.reserve(total_points * (enc == WireEncoding::kF64 ? 8 : 4));
+    const std::size_t width = enc == WireEncoding::kF64 ? sizeof(double) : sizeof(float);
+    // Sized from the tiles themselves, so the writes below stay in bounds
+    // whatever shape a tile has.
+    std::size_t points = 0;
+    for (const auto& entry : tiles) {
+        points += entry.second->size();
+    }
+    std::string body(points * width, '\0');
+    char* out = body.data();
     for (const auto& [key, tile] : tiles) {
-        body += enc == WireEncoding::kF64 ? encode_tile_f64(*tile) : encode_tile_f32(*tile);
+        if (enc == WireEncoding::kF64) {
+            store_le(tile->data(), tile->size(), out);
+        } else {
+            encode_f32_into(tile->data(), tile->size(), out);
+        }
+        out += tile->size() * width;
     }
     HttpResponse resp = HttpResponse::octets(std::move(body));
     resp.extra_headers.emplace_back("X-RRS-Encoding", encoding_name(enc));
@@ -264,67 +409,20 @@ HttpResponse handle_readyz(const RouteState& state) {
 HttpResponse surface_response(const Array2D<double>& a, const Rect& r,
                               const std::string& scene, std::uint64_t fingerprint,
                               WireEncoding enc) {
-    HttpResponse resp;
-    switch (enc) {
-        case WireEncoding::kI16: {
-            QuantizedTile q = encode_tile_i16(a);
-            resp = HttpResponse::octets(std::move(q.body));
-            // Shortest round-trippable decimal (max_digits10) so decoding
-            // reproduces the server's doubles exactly.
-            char num[64];
-            std::snprintf(num, sizeof(num), "%.17g", q.scale);
-            resp.extra_headers.emplace_back("X-RRS-Scale", num);
-            std::snprintf(num, sizeof(num), "%.17g", q.offset);
-            resp.extra_headers.emplace_back("X-RRS-Offset", num);
-            break;
-        }
-        case WireEncoding::kF64:
-            resp = HttpResponse::octets(encode_tile_f64(a));
-            break;
-        case WireEncoding::kF32:
-            resp = HttpResponse::octets(encode_tile_f32(a));
-            break;
-    }
-    resp.extra_headers.emplace_back("X-RRS-Encoding", encoding_name(enc));
-    resp.extra_headers.emplace_back("X-RRS-Nx", std::to_string(r.nx));
-    resp.extra_headers.emplace_back("X-RRS-Ny", std::to_string(r.ny));
-    resp.extra_headers.emplace_back("X-RRS-X0", std::to_string(r.x0));
-    resp.extra_headers.emplace_back("X-RRS-Y0", std::to_string(r.y0));
-    resp.extra_headers.emplace_back("X-RRS-Scene", scene);
-    resp.extra_headers.emplace_back("X-RRS-Fingerprint", std::to_string(fingerprint));
+    HttpResponse resp = body_response(std::make_shared<const EncodedBody>(encode_body(a, enc)));
+    add_surface_headers(resp, r, scene, fingerprint, enc);
     return resp;
 }
 
 std::string encode_tile_f32(const Array2D<double>& a) {
-    std::string out;
-    out.resize(a.size() * 4);
-    const double* src = a.data();
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        const auto f = static_cast<float>(src[i]);
-        std::uint32_t bits = 0;
-        static_assert(sizeof(bits) == sizeof(f));
-        std::memcpy(&bits, &f, sizeof(bits));
-        // Explicit little-endian byte order, independent of the host.
-        out[i * 4 + 0] = static_cast<char>(bits & 0xffu);
-        out[i * 4 + 1] = static_cast<char>((bits >> 8) & 0xffu);
-        out[i * 4 + 2] = static_cast<char>((bits >> 16) & 0xffu);
-        out[i * 4 + 3] = static_cast<char>((bits >> 24) & 0xffu);
-    }
+    std::string out(a.size() * sizeof(float), '\0');
+    encode_f32_into(a.data(), a.size(), out.data());
     return out;
 }
 
 std::string encode_tile_f64(const Array2D<double>& a) {
-    std::string out;
-    out.resize(a.size() * 8);
-    const double* src = a.data();
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        std::uint64_t bits = 0;
-        static_assert(sizeof(bits) == sizeof(double));
-        std::memcpy(&bits, &src[i], sizeof(bits));
-        for (std::size_t b = 0; b < 8; ++b) {
-            out[i * 8 + b] = static_cast<char>((bits >> (8 * b)) & 0xffu);
-        }
-    }
+    std::string out(a.size() * sizeof(double), '\0');
+    store_le(a.data(), a.size(), out.data());
     return out;
 }
 
@@ -343,16 +441,8 @@ QuantizedTile encode_tile_i16(const Array2D<double>& a) {
     out.offset = 0.5 * (lo + hi);
     const double half_range = 0.5 * (hi - lo);
     out.scale = half_range > 0.0 ? half_range / 32767.0 : 1.0;
-    out.body.resize(a.size() * 2);
-    const double inv_scale = 1.0 / out.scale;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        double q = (a.data()[i] - out.offset) * inv_scale;
-        q = q < -32767.0 ? -32767.0 : (q > 32767.0 ? 32767.0 : q);
-        const auto s = static_cast<std::int16_t>(q < 0.0 ? q - 0.5 : q + 0.5);
-        const auto bits = static_cast<std::uint16_t>(s);
-        out.body[i * 2 + 0] = static_cast<char>(bits & 0xffu);
-        out.body[i * 2 + 1] = static_cast<char>((bits >> 8) & 0xffu);
-    }
+    out.body.assign(a.size() * sizeof(std::int16_t), '\0');
+    quantize_i16_into(a.data(), a.size(), out.offset, out.scale, out.body.data());
     return out;
 }
 

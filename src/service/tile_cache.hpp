@@ -25,13 +25,25 @@
 ///
 /// Values are `shared_ptr<const Array2D<double>>`: eviction never
 /// invalidates a tile a caller is still reading.
+///
+/// Encoded bodies: a tile's wire encodings are as fixed by its address as
+/// its doubles, so an entry also carries up to kBodySlots encoded bodies
+/// (the net layer's f32 and i16 bodies), each attached once after its
+/// first encode.  They are charged to the same budget as the tile and are
+/// second-class: a body is kept only in room its shard has spare, and an
+/// insert that needs room drops bodies (coldest entry first) before it
+/// evicts any tile.  Bodies are shared like tiles: one a response still
+/// holds outlives being dropped.
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <list>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "grid/array2d.hpp"
@@ -43,6 +55,16 @@ namespace rrs {
 /// Immutable, shareable generated tile.
 using TilePtr = std::shared_ptr<const Array2D<double>>;
 
+/// One encoding of a tile: its body bytes plus the response headers the
+/// encoding needs to be decoded (e.g. a quantizer's scale and offset).
+struct EncodedBody {
+    std::string bytes;
+    std::vector<std::pair<std::string, std::string>> headers;
+};
+
+/// Immutable, shareable encoded body.
+using EncodedBodyPtr = std::shared_ptr<const EncodedBody>;
+
 /// Sharded byte-budget LRU cache of tiles; see file comment.
 class TileCache {
 public:
@@ -52,13 +74,14 @@ public:
         std::uint64_t misses = 0;
         std::uint64_t insertions = 0;
         std::uint64_t evictions = 0;
-        std::uint64_t bytes = 0;  ///< current resident payload bytes
+        std::uint64_t bytes = 0;  ///< current resident payload bytes, bodies included
         std::uint64_t tiles = 0;  ///< current resident tile count
     };
 
     /// `byte_budget` bounds the summed payload (`Array2D` element) bytes of
-    /// resident tiles.  `shards` is rounded up to a power of two; more
-    /// shards = less lock contention, slightly lumpier per-shard budgets.
+    /// resident tiles plus the bytes of their attached bodies.  `shards` is
+    /// rounded up to a power of two; more shards = less lock contention,
+    /// slightly lumpier per-shard budgets.
     explicit TileCache(std::size_t byte_budget, std::size_t shards = 16);
 
     TileCache(const TileCache&) = delete;
@@ -67,9 +90,26 @@ public:
     /// Look up a tile, refreshing its LRU position.  Counts a hit or miss.
     TilePtr find(const TileAddress& address);
 
-    /// Insert (or replace) a tile, then evict LRU entries until the shard
-    /// fits its budget.  Counts insertions and evictions.
+    /// Insert (or replace) a tile, then drop attached bodies and evict LRU
+    /// entries until the shard fits its budget.  Counts insertions and
+    /// evictions (of tiles; a dropped body is not an eviction).
     void insert(const TileAddress& address, TilePtr tile);
+
+    /// Encoded-body slots per entry; the caller assigns each slot one
+    /// encoding.
+    static constexpr std::size_t kBodySlots = 2;
+
+    /// The body in `slot` of the resident tile at `address`, or null.
+    /// Counts nothing and leaves recency alone: the find() that served the
+    /// tile already did both.
+    EncodedBodyPtr find_body(const TileAddress& address, std::size_t slot) const;
+
+    /// Attach `body` to `slot` of the resident tile at `address` and charge
+    /// its bytes to the budget.  Never evicts: a body that does not fit the
+    /// shard's spare room is dropped, as is one whose tile is no longer
+    /// resident; a slot already filled keeps its first body (equal
+    /// addresses encode to equal bytes).
+    void attach_body(const TileAddress& address, std::size_t slot, EncodedBodyPtr body);
 
     /// Drop every resident entry (counters keep their totals).
     void clear();
@@ -85,7 +125,8 @@ private:
     struct Entry {
         TileAddress address;
         TilePtr tile;
-        std::size_t bytes = 0;
+        std::array<EncodedBodyPtr, kBodySlots> bodies{};
+        std::size_t bytes = 0;  ///< the tile's payload plus its bodies
     };
     using LruList = std::list<Entry>;
 
@@ -94,6 +135,7 @@ private:
         LruList lru;  ///< front = most recently used
         std::unordered_map<TileAddress, LruList::iterator, TileAddressHash> index;
         store::ByteBudget budget;  ///< shared eviction policy, guarded by `mutex`
+        std::size_t body_bytes = 0;  ///< the attached bodies' share of the budget
         // Plain counters — only touched under `mutex`.
         std::uint64_t hits = 0;
         std::uint64_t misses = 0;

@@ -164,13 +164,10 @@ TilePtr TileService::peek(const TileKey& key) {
     if (TilePtr hit = cache_->find(address)) {
         return hit;
     }
-    if (opt_.store) {
-        if (store::TileStore::TilePayload stored = opt_.store->find(address)) {
-            TilePtr tile = std::move(stored);
-            // Promote like the miss path would — the peek warmed it.
-            cache_->insert(address, tile);
-            return tile;
-        }
+    if (TilePtr tile = find_stored(address)) {
+        // Promote like the miss path would — the peek warmed it.
+        cache_->insert(address, tile);
+        return tile;
     }
     return nullptr;
 }
@@ -199,13 +196,10 @@ TilePtr TileService::generate_or_join(const TileKey& key) {
             // generation (and without counting one).  An L2 miss — or any
             // injected/real read degradation inside find() — falls through
             // to the source or derivation.
-            TilePtr tile;
-            if (opt_.store) {
-                if (store::TileStore::TilePayload stored = opt_.store->find(address)) {
-                    tile = std::move(stored);
-                    metrics_.record_l2_promotion();
-                    GlobalTileCounters::get().l2_promotions.add();
-                }
+            TilePtr tile = find_stored(address);
+            if (tile) {
+                metrics_.record_l2_promotion();
+                GlobalTileCounters::get().l2_promotions.add();
             }
             if (!tile) {
                 metrics_.record_generation();
@@ -246,6 +240,18 @@ TilePtr TileService::generate_or_join(const TileKey& key) {
         }
     }
     return future.get();  // rethrows the leader's exception for every waiter
+}
+
+TilePtr TileService::find_stored(const TileAddress& address) {
+    if (!opt_.store) {
+        return nullptr;
+    }
+    TilePtr tile = opt_.store->find(address);
+    if (tile != nullptr && (tile->nx() != static_cast<std::size_t>(opt_.shape.nx) ||
+                            tile->ny() != static_cast<std::size_t>(opt_.shape.ny))) {
+        return nullptr;
+    }
+    return tile;
 }
 
 TilePtr TileService::generate_tile(const TileKey& key) {

@@ -35,8 +35,9 @@
 ///
 /// Tiered store: when Options::store is set, a cache miss consults the
 /// persistent L2 TileStore before generating (an L2 hit is *promoted* into
-/// the in-memory cache — counted, never regenerated), and every fresh
-/// generation is written through to the store.  Store write failures are
+/// the in-memory cache — counted, never regenerated; a record of another
+/// tile shape is a miss), and every fresh generation is written through to
+/// the store.  Store write failures are
 /// swallowed (counted): persistence is an optimisation, not a correctness
 /// dependency.
 ///
@@ -212,6 +213,12 @@ private:
     /// Miss path: lead a new L2 lookup/generation or park on the in-flight
     /// one.
     TilePtr generate_or_join(const TileKey& key);
+
+    /// The L2 store's payload for `address`, or null when there is no
+    /// store, no record, or a record of another tile shape (written by a
+    /// server configured with a different tile size, which the address
+    /// does not name): such a record is a miss, never served.
+    TilePtr find_stored(const TileAddress& address);
 
     /// Produce the payload for `key`: base tiles call the source (and are
     /// shape-checked); zoom tiles recurse through get() on their children

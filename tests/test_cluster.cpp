@@ -14,6 +14,8 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <set>
@@ -393,6 +395,39 @@ TEST(WireHelpers, DecodeTileF64RoundTripsAndValidates) {
     EXPECT_THROW(decode_tile_f64("short", 3, 2), IoError);
 }
 
+TEST(WireHelpers, DecodeTileF64MatchesTheByteLoopOracle) {
+    // The byte-at-a-time decode the word-wise one replaced, kept as the
+    // oracle, over patterned bytes that include NaN payloads, infinities,
+    // −0.0 and subnormals: decoding must move every bit unchanged.
+    const std::int64_t nx = 257;
+    const std::int64_t ny = 3;
+    std::string body(static_cast<std::size_t>(nx * ny) * 8, '\0');
+    std::uint64_t state = 0x243F6A8885A308D3ULL;
+    for (char& c : body) {
+        state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+        c = static_cast<char>(state >> 56);
+    }
+    const std::uint64_t specials[] = {0x7FF8000000000001ULL, 0xFFF0000000000000ULL,
+                                      0x8000000000000000ULL, 0x0000000000000001ULL};
+    for (std::size_t i = 0; i < std::size(specials); ++i) {
+        for (std::size_t b = 0; b < 8; ++b) {
+            body[i * 8 + b] = static_cast<char>((specials[i] >> (8 * b)) & 0xffu);
+        }
+    }
+    const Array2D<double> got = decode_tile_f64(body, nx, ny);
+    ASSERT_EQ(got.size(), static_cast<std::size_t>(nx * ny));
+    const auto* src = reinterpret_cast<const unsigned char*>(body.data());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        std::uint64_t want = 0;
+        for (std::size_t b = 0; b < 8; ++b) {
+            want |= static_cast<std::uint64_t>(src[i * 8 + b]) << (8 * b);
+        }
+        std::uint64_t bits = 0;
+        std::memcpy(&bits, &got.data()[i], sizeof(bits));
+        ASSERT_EQ(bits, want) << "at " << i;
+    }
+}
+
 TEST(WireHelpers, UrlEncodePercentEncodesReservedBytes) {
     EXPECT_EQ(url_encode("plain-0.9_~"), "plain-0.9_~");
     EXPECT_EQ(url_encode("a b&c=d%"), "a%20b%26c%3Dd%25");
@@ -538,7 +573,7 @@ TEST_F(ClusterEndToEnd, ProxiedWindowIsByteIdenticalToSingleNode) {
             *q == 'f' ? (q[1] == '3' ? net::WireEncoding::kF32
                                      : net::WireEncoding::kF64)
                       : net::WireEncoding::kI16);
-        EXPECT_EQ(resp.body, expect.body) << "encoding " << q;
+        EXPECT_EQ(resp.body, expect.body()) << "encoding " << q;
     }
 }
 
@@ -796,7 +831,7 @@ std::shared_ptr<ClusterClient> previous_client(const Topology& previous,
     copt.breaker_open_ms = 2000;
     copt.fanout_threads = 1;
     copt.registry = &registry;
-    return std::make_shared<ClusterClient>(previous, copt);
+    return std::make_shared<ClusterClient>(previous, copt, "cluster.prev.");
 }
 
 TEST(PeerFill, ReshardServesMovedKeysFromPreviousOwnerWithoutRegeneration) {
@@ -882,9 +917,10 @@ TEST(PeerFill, UnreachablePeerDegradesToLocalGenerationSilently) {
 
 TEST(PeerFill, ScenesSharingOnePreviousClientKeepOneBreakerGauge) {
     // Two scenes over one previous-epoch client: one breaker per peer, so
-    // the peer's cluster.breaker.state gauge has one writer.  Opening the
-    // breaker through one scene short-circuits the other scene's fills,
-    // and the gauge agrees with the breaker.
+    // the peer's breaker gauge has one writer.  Opening the breaker through
+    // one scene short-circuits the other scene's fills, and the gauge
+    // agrees with the breaker.  The old fleet's metrics sit under
+    // cluster.prev., so the shard's registry never shows it as its own.
     const Topology previous = local_fleet({{"A", 1}, {"B", 2}}, 1);
     obs::MetricsRegistry fill_registry;
     auto client = previous_client(previous, fill_registry, 200);
@@ -904,7 +940,7 @@ TEST(PeerFill, ScenesSharingOnePreviousClientKeepOneBreakerGauge) {
         EXPECT_NE(first.service->get(a_keys[i]), nullptr);
     }
     ASSERT_EQ(client->breaker_state(a), fault::CircuitBreaker::State::kOpen);
-    obs::Counter& requests = fill_registry.counter("cluster.node.A.requests");
+    obs::Counter& requests = fill_registry.counter("cluster.prev.node.A.requests");
     const std::uint64_t requests_at_open = requests.value();
     EXPECT_EQ(requests_at_open, failures);
     for (std::size_t i = failures; i < failures + 2; ++i) {
@@ -912,10 +948,16 @@ TEST(PeerFill, ScenesSharingOnePreviousClientKeepOneBreakerGauge) {
     }
     // The second scene's fills met the same open breaker: no new request.
     EXPECT_EQ(requests.value(), requests_at_open);
-    EXPECT_EQ(fill_registry.gauge("cluster.breaker.state.A").value(),
+    EXPECT_EQ(fill_registry.gauge("cluster.prev.breaker.state.A").value(),
               static_cast<std::int64_t>(fault::CircuitBreaker::State::kOpen));
+    EXPECT_EQ(fill_registry.gauge("cluster.prev.nodes").value(), 2);
     EXPECT_EQ(fill_registry.counter("cluster.peer_fill_errors").value(),
               failures + 2);
+    const std::string json = fill_registry.to_json();
+    for (const char* fleet : {"\"cluster.nodes\"", "\"cluster.breaker.state.A\"",
+                              "\"cluster.node.A.requests\"", "\"cluster.forwards\""}) {
+        EXPECT_EQ(json.find(fleet), std::string::npos) << fleet;
+    }
     EXPECT_EQ(first.local_calls->load() + second.local_calls->load(), failures + 2);
 }
 

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <netinet/in.h>
 #include <sys/socket.h>
 
 #include <atomic>
@@ -19,9 +20,12 @@
 #include <cstdint>
 #include <cstring>
 #include <future>
+#include <iterator>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/error.hpp"
@@ -262,7 +266,7 @@ TEST(RouterTest, DispatchAndErrors) {
                  ConfigError);
     HttpRequest req;
     req.path = "/ping";
-    EXPECT_EQ(router.dispatch(req).body, "pong");
+    EXPECT_EQ(router.dispatch(req).body(), "pong");
     req.path = "/absent";
     expect_http_error(404, [&] { router.dispatch(req); });
 }
@@ -303,7 +307,7 @@ std::shared_ptr<TileService> make_scene_service(std::int64_t tile = 32) {
 }
 
 /// Decode the wire format (little-endian float32, row-major).
-std::vector<float> decode_f32(const std::string& body) {
+std::vector<float> decode_f32(std::string_view body) {
     EXPECT_EQ(body.size() % 4, 0u);
     std::vector<float> out(body.size() / 4);
     for (std::size_t i = 0; i < out.size(); ++i) {
@@ -862,7 +866,7 @@ TEST(TileServiceOwning, KeepsGeneratorAliveAndRejectsNull) {
 // ------------------------------------------------ conditional GET & encodings
 
 /// Decode the f64 exactness escape hatch (little-endian float64, row-major).
-std::vector<double> decode_f64(const std::string& body) {
+std::vector<double> decode_f64(std::string_view body) {
     EXPECT_EQ(body.size() % 8, 0u);
     std::vector<double> out(body.size() / 8);
     for (std::size_t i = 0; i < out.size(); ++i) {
@@ -877,7 +881,7 @@ std::vector<double> decode_f64(const std::string& body) {
 }
 
 /// Decode the i16 quantized body (little-endian int16, row-major).
-std::vector<std::int16_t> decode_i16(const std::string& body) {
+std::vector<std::int16_t> decode_i16(std::string_view body) {
     EXPECT_EQ(body.size() % 2, 0u);
     std::vector<std::int16_t> out(body.size() / 2);
     for (std::size_t i = 0; i < out.size(); ++i) {
@@ -1033,6 +1037,284 @@ TEST_F(TileServerTest, PyramidConcatenatesLevelsTopFirst) {
     // min_z above the top zoom is malformed.
     EXPECT_EQ(client.get("/v1/pyramid?tx=0&ty=0&z=1&min_z=2").status, 400);
     expect_accounting_identity();
+}
+
+TEST_F(TileServerTest, PyramidF64IsTheTilesConcatenated) {
+    HttpClient client("127.0.0.1", server_->port());
+    const ClientResponse resp = client.get("/v1/pyramid?tx=0&ty=0&z=1&q=f64");
+    ASSERT_EQ(resp.status, 200) << resp.body;
+    std::string expect;
+    for (const auto& [key, tile] : service_->pyramid(TileKey{0, 0, 1}, 0)) {
+        expect += encode_tile_f64(*tile);
+    }
+    EXPECT_EQ(resp.body, expect);
+}
+
+// ------------------------------------------- wire encoders vs byte oracle
+
+// The byte-at-a-time encoders the word-wise ones replaced, kept as the
+// oracle: explicit little-endian bytes, whatever the host.
+std::string oracle_f32(const Array2D<double>& a) {
+    std::string out(a.size() * 4, '\0');
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        const auto f = static_cast<float>(a.data()[i]);
+        std::uint32_t bits = 0;
+        std::memcpy(&bits, &f, sizeof(bits));
+        for (std::size_t b = 0; b < 4; ++b) {
+            out[i * 4 + b] = static_cast<char>((bits >> (8 * b)) & 0xffu);
+        }
+    }
+    return out;
+}
+
+std::string oracle_f64(const Array2D<double>& a) {
+    std::string out(a.size() * 8, '\0');
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        std::uint64_t bits = 0;
+        std::memcpy(&bits, &a.data()[i], sizeof(bits));
+        for (std::size_t b = 0; b < 8; ++b) {
+            out[i * 8 + b] = static_cast<char>((bits >> (8 * b)) & 0xffu);
+        }
+    }
+    return out;
+}
+
+QuantizedTile oracle_i16(const Array2D<double>& a) {
+    QuantizedTile out;
+    double lo = 0.0;
+    double hi = 0.0;
+    if (!a.empty()) {
+        lo = hi = a.data()[0];
+        for (std::size_t i = 1; i < a.size(); ++i) {
+            const double v = a.data()[i];
+            lo = v < lo ? v : lo;
+            hi = v > hi ? v : hi;
+        }
+    }
+    out.offset = 0.5 * (lo + hi);
+    const double half_range = 0.5 * (hi - lo);
+    out.scale = half_range > 0.0 ? half_range / 32767.0 : 1.0;
+    out.body.resize(a.size() * 2);
+    const double inv_scale = 1.0 / out.scale;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        double q = (a.data()[i] - out.offset) * inv_scale;
+        q = q < -32767.0 ? -32767.0 : (q > 32767.0 ? 32767.0 : q);
+        const auto s = static_cast<std::int16_t>(q < 0.0 ? q - 0.5 : q + 0.5);
+        const auto bits = static_cast<std::uint16_t>(s);
+        out.body[i * 2 + 0] = static_cast<char>(bits & 0xffu);
+        out.body[i * 2 + 1] = static_cast<char>((bits >> 8) & 0xffu);
+    }
+    return out;
+}
+
+/// Samples of mixed sign and magnitude (1e-3 to 1e30); with `specials`
+/// every seventh is NaN, ±Inf, −0.0, a double or float subnormal, or a
+/// double that overflows float.  i16 gets no specials: its quantizer casts
+/// out-of-range doubles to int16, which is undefined, and tiles never hold
+/// them (the health guard).
+Array2D<double> encoder_input(std::size_t nx, std::size_t ny, bool specials) {
+    static constexpr double kScales[] = {1e-3, 1.0, 7.0, 1e5, 1e30};
+    static constexpr double kSpecials[] = {
+        std::numeric_limits<double>::quiet_NaN(),
+        -std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(),
+        -0.0,
+        std::numeric_limits<double>::denorm_min(),
+        -4.9e-320,
+        1e-40,  // subnormal as a float
+        1e39,   // overflows float
+    };
+    Array2D<double> a(nx, ny);
+    std::uint64_t state = 0x9E3779B97F4A7C15ULL;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+        const double unit = static_cast<double>(state >> 11) * 0x1.0p-53 - 0.5;
+        a.data()[i] = unit * kScales[i % std::size(kScales)];
+        if (specials && i % 7 == 3) {
+            a.data()[i] = kSpecials[(i / 7) % std::size(kSpecials)];
+        }
+    }
+    return a;
+}
+
+TEST(WireEncoders, MatchTheByteLoopOracle) {
+    const std::pair<std::size_t, std::size_t> shapes[] = {
+        {0, 1}, {1, 1}, {3, 1}, {255, 1}, {257, 1}, {256, 256}};
+    for (const auto& [nx, ny] : shapes) {
+        SCOPED_TRACE(std::to_string(nx) + "x" + std::to_string(ny));
+        const Array2D<double> special = encoder_input(nx, ny, /*specials=*/true);
+        EXPECT_EQ(encode_tile_f32(special), oracle_f32(special));
+        EXPECT_EQ(encode_tile_f64(special), oracle_f64(special));
+        const Array2D<double> finite = encoder_input(nx, ny, /*specials=*/false);
+        const QuantizedTile got = encode_tile_i16(finite);
+        const QuantizedTile want = oracle_i16(finite);
+        EXPECT_EQ(got.body, want.body);
+        EXPECT_EQ(std::memcmp(&got.scale, &want.scale, sizeof(double)), 0);
+        EXPECT_EQ(std::memcmp(&got.offset, &want.offset, sizeof(double)), 0);
+    }
+    // −0.0 and subnormals are finite, so the quantizer must match on them too.
+    Array2D<double> tiny(4, 1);
+    tiny.data()[0] = -0.0;
+    tiny.data()[1] = std::numeric_limits<double>::denorm_min();
+    tiny.data()[2] = -4.9e-320;
+    tiny.data()[3] = 1e-310;
+    EXPECT_EQ(encode_tile_i16(tiny).body, oracle_i16(tiny).body);
+}
+
+TEST(WireEncoders, ConstantTileQuantizesToZerosAtScaleOne) {
+    const Array2D<double> flat(5, 3, 2.5);
+    const QuantizedTile q = encode_tile_i16(flat);
+    EXPECT_EQ(q.scale, 1.0);
+    EXPECT_EQ(q.offset, 2.5);
+    EXPECT_EQ(q.body, std::string(flat.size() * 2, '\0'));
+    EXPECT_EQ(q.body, oracle_i16(flat).body);
+}
+
+// ------------------------------------------ stored bodies in the tile cache
+
+HttpRequest tile_request(const std::string& query) {
+    return parse_request_head("GET /v1/tile?" + query + " HTTP/1.1\r\n");
+}
+
+TEST(StoredBodies, CacheStaysWithinBudgetUnderMixedEncodingStorm) {
+    // 32² tiles: 8 KiB of doubles, 4 KiB f32 and 2 KiB i16 bodies; a 96 KiB
+    // budget over 4 shards holds a few fully encoded tiles, not the 48.
+    const Scene scene = parse_scene_text(kTestScene);
+    auto gen = std::make_shared<InhomogeneousGenerator>(make_scene_generator(scene));
+    TileService::Options opt;
+    opt.shape = TileShape{32, 32};
+    auto cache = std::make_shared<TileCache>(std::size_t{96} << 10, 4);
+    std::shared_ptr<TileService> service = TileService::owning(std::move(gen), opt, cache);
+    SceneServices scenes;
+    scenes.emplace("scene", service);
+    obs::MetricsRegistry registry;
+    const Router router = make_tile_router(std::move(scenes), &registry);
+
+    const char* encodings[] = {"f32", "i16", "f64"};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 4; ++t) {
+        threads.emplace_back([&, t] {
+            for (int i = 0; i < 96; ++i) {
+                const int tile = (i * 7 + t * 5) % 48;
+                const std::string q = encodings[(i + t) % 3];
+                const HttpResponse resp = router.dispatch(tile_request(
+                    "tx=" + std::to_string(tile % 8) + "&ty=" + std::to_string(tile / 8) +
+                    "&q=" + q));
+                ASSERT_EQ(resp.status, 200);
+                const TilePtr direct = service->get(TileKey{tile % 8, tile / 8, 0});
+                const std::string expect = q == "f32"   ? encode_tile_f32(*direct)
+                                           : q == "i16" ? encode_tile_i16(*direct).body
+                                                        : encode_tile_f64(*direct);
+                ASSERT_EQ(resp.body(), expect) << "tile " << tile << " q=" << q;
+                EXPECT_LE(cache->stats().bytes, cache->byte_budget());
+            }
+        });
+    }
+    for (std::thread& th : threads) {
+        th.join();
+    }
+    const TileCache::Stats stats = cache->stats();
+    EXPECT_LE(stats.bytes, cache->byte_budget());
+    EXPECT_GT(stats.evictions, 0u);
+}
+
+TEST(StoredBodies, BodiesAreChargedEvictedWithTheirTileAndOutliveEviction) {
+    const Scene scene = parse_scene_text(kTestScene);
+    auto gen = std::make_shared<InhomogeneousGenerator>(make_scene_generator(scene));
+    TileService::Options opt;
+    opt.shape = TileShape{32, 32};
+    auto cache = std::make_shared<TileCache>(std::size_t{1} << 20, 1);
+    std::shared_ptr<TileService> service = TileService::owning(std::move(gen), opt, cache);
+    SceneServices scenes;
+    scenes.emplace("scene", service);
+    obs::MetricsRegistry registry;
+    const Router router = make_tile_router(std::move(scenes), &registry);
+    const std::size_t tile_bytes = 32 * 32 * sizeof(double);
+
+    const HttpResponse f64 = router.dispatch(tile_request("tx=1&ty=2&q=f64"));
+    EXPECT_EQ(cache->stats().bytes, tile_bytes);  // f64 is the tile's own storage
+    const HttpResponse f32 = router.dispatch(tile_request("tx=1&ty=2&q=f32"));
+    EXPECT_EQ(cache->stats().bytes, tile_bytes + 32 * 32 * 4);
+    const HttpResponse i16 = router.dispatch(tile_request("tx=1&ty=2&q=i16"));
+    const std::size_t with_bodies = cache->stats().bytes;
+    EXPECT_GT(with_bodies, tile_bytes + 32 * 32 * 6);  // plus the scale/offset headers
+    // A second request serves the stored body: the same bytes, no new charge.
+    const HttpResponse again = router.dispatch(tile_request("tx=1&ty=2&q=f32"));
+    EXPECT_EQ(again.body().data(), f32.body().data());
+    EXPECT_EQ(cache->stats().bytes, with_bodies);
+
+    const TilePtr tile = service->get(TileKey{1, 2, 0});
+    const std::string want_f32 = encode_tile_f32(*tile);
+    const QuantizedTile want_i16 = encode_tile_i16(*tile);
+    const std::string want_f64 = encode_tile_f64(*tile);
+    // Eviction frees the tile and its bodies together; the responses still
+    // hold theirs (a use after free here fails the sanitize preset).
+    cache->clear();
+    EXPECT_EQ(cache->stats().bytes, 0u);
+    EXPECT_EQ(f32.body(), want_f32);
+    EXPECT_EQ(i16.body(), want_i16.body);
+    EXPECT_EQ(f64.body(), want_f64);
+
+    // A body attached after its tile left the cache is served, then dropped.
+    const TileAddress address{service->fingerprint(), TileKey{1, 2, 0}};
+    cache->attach_body(address, 0, std::make_shared<const EncodedBody>());
+    EXPECT_EQ(cache->find_body(address, 0), nullptr);
+    EXPECT_EQ(cache->stats().bytes, 0u);
+}
+
+TEST(GatherWrite, SlowReaderGetsTheWholeBodyAndBytesOutCountsIt) {
+    // 512 KiB of patterned bytes to a reader with a small receive buffer
+    // that drains it in about half a second: longer than the write
+    // deadline, so a blocked sendmsg returns short writes and the server's
+    // gather loop must resume them, across the head/body boundary, without
+    // a byte lost.
+    std::string payload(std::size_t{512} << 10, '\0');
+    for (std::size_t i = 0; i < payload.size(); ++i) {
+        payload[i] = static_cast<char>((i * 131 + (i >> 9)) & 0xff);
+    }
+    Router router;
+    router.add("/big", [&payload](const HttpRequest&) {
+        return HttpResponse::octets(payload);
+    });
+    obs::MetricsRegistry registry;
+    HttpServer::Options opt;
+    opt.registry = &registry;
+    opt.write_timeout_ms = 300;
+    HttpServer server(std::move(router), opt);
+    server.start();
+
+    Socket s{::socket(AF_INET, SOCK_STREAM, 0)};
+    ASSERT_TRUE(s.valid());
+    const int rcvbuf = 4096;
+    ASSERT_EQ(::setsockopt(s.fd(), SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf)), 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(server.port());
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    ASSERT_EQ(::connect(s.fd(), reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)), 0);
+    set_recv_timeout(s, 3000);
+    const std::string request = "GET /big HTTP/1.1\r\nConnection: close\r\n\r\n";
+    ASSERT_TRUE(send_all(s, request.data(), request.size()));
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));  // let the buffers fill
+    std::string wire;
+    char buf[2048];
+    for (;;) {
+        const RecvResult r = recv_some(s, buf, sizeof buf);
+        if (r.n == 0) {
+            break;
+        }
+        wire.append(buf, r.n);
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    server.stop();
+
+    const std::size_t blank = wire.find("\r\n\r\n");
+    ASSERT_NE(blank, std::string::npos);
+    EXPECT_NE(wire.find("Content-Length: 524288\r\n"), std::string::npos);
+    ASSERT_EQ(wire.size(), blank + 4 + payload.size());
+    EXPECT_TRUE(wire.compare(blank + 4, payload.size(), payload) == 0);
+    EXPECT_EQ(registry.counter("net.bytes_out").value(), wire.size());
 }
 
 }  // namespace

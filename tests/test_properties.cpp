@@ -8,11 +8,15 @@
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
+#include <string>
+#include <string_view>
 #include <tuple>
+#include <utility>
 
 #include "core/convolution.hpp"
 #include "core/direct_dft.hpp"
 #include "core/inhomogeneous.hpp"
+#include "net/tile_routes.hpp"
 #include "rng/gaussian.hpp"
 #include "service/tile_service.hpp"
 
@@ -157,13 +161,17 @@ TEST(Golden, SurfaceChecksum) {
 // CPU class, not across every host.  An intentional numeric change updates
 // them and is recorded in CHANGES.md: it changes every served byte.
 
-std::uint64_t fnv1a(const Array2D<double>& f) {
+std::uint64_t fnv1a(std::string_view bytes) {
     std::uint64_t h = 0xCBF29CE484222325ULL;
-    const auto* p = reinterpret_cast<const unsigned char*>(f.data());
-    for (std::size_t i = 0; i < f.size() * sizeof(double); ++i) {
-        h = (h ^ p[i]) * 0x100000001B3ULL;
+    for (const char c : bytes) {
+        h = (h ^ static_cast<unsigned char>(c)) * 0x100000001B3ULL;
     }
     return h;
+}
+
+std::uint64_t fnv1a(const Array2D<double>& f) {
+    return fnv1a(std::string_view(reinterpret_cast<const char*>(f.data()),
+                                  f.size() * sizeof(double)));
 }
 
 ConvolutionGenerator golden_gen(const SpectrumPtr& s, KernelEngine engine) {
@@ -207,6 +215,59 @@ TEST(Golden, ZoomedServiceTileBytes) {
     opt.shape = TileShape{32, 32};
     TileService service(gen, opt);
     EXPECT_EQ(fnv1a(*service.get(TileKey{-1, 0, 1})), 0xFEA1AB5D77FC85A7ULL);
+}
+
+// The wire bodies of the golden tiles: each encoding's bytes, and the i16
+// scale/offset headers, are fixed by the tile's doubles.  The constants were
+// taken from the byte-at-a-time encoders the word-wise ones replaced.
+TEST(Golden, WireBodies) {
+    struct Case {
+        const char* name;
+        Array2D<double> tile;
+        std::uint64_t f32, i16, f64;
+        const char* scale;
+        const char* offset;
+    };
+    const auto blend = golden_blend();
+    TileService::Options opt;
+    opt.shape = TileShape{32, 32};
+    TileService zoomed(blend, opt);
+    const Case cases[] = {
+        {"separable",
+         golden_gen(make_gaussian({1.0, 5.0, 7.0}), KernelEngine::kAuto)
+             .generate(Rect{-13, 21, 37, 29}),
+         0xA211093D0D0FEB9AULL, 0x6C58B5B983885BEEULL, 0xD1B8D17D72183A85ULL,
+         "6.000255932742281e-05", "0.38533714961420296"},
+        {"fft",
+         golden_gen(make_exponential({1.0, 6.0, 6.0}), KernelEngine::kAuto)
+             .generate(Rect{5, -40, 33, 30}),
+         0x37A8DB60736358ADULL, 0x06DFB655420B3DB7ULL, 0x63CE41D03588DBE7ULL,
+         "0.00010446875224108697", "0.69839831691995347"},
+        {"direct",
+         golden_gen(make_power_law({1.0, 5.0, 5.0}, 3.5), KernelEngine::kDirect)
+             .generate(Rect{-7, -9, 17, 15}),
+         0x5FF5D9CD28BFF541ULL, 0x77512908C22854D5ULL, 0xB6E957BF2A6F3396ULL,
+         "2.7846321889482422e-05", "0.43142021489278692"},
+        {"blend", blend.generate(Rect{-24, -6, 48, 30}),
+         0xBC4535D4BA6FC6B3ULL, 0xC2BFC15A857FC8FEULL, 0x844F6ABBA2C08AD4ULL,
+         "5.3691570972127486e-05", "0.68704113704052561"},
+        {"zoomed", *zoomed.get(TileKey{-1, 0, 1}),
+         0x00C3966738B3F1EDULL, 0xEE4208CB9E8ABCABULL, 0xFEA1AB5D77FC85A7ULL,
+         "7.4719520287919939e-05", "-0.05799869196694174"},
+    };
+    for (const Case& c : cases) {
+        SCOPED_TRACE(c.name);
+        EXPECT_EQ(fnv1a(net::encode_tile_f32(c.tile)), c.f32);
+        EXPECT_EQ(fnv1a(net::encode_tile_f64(c.tile)), c.f64);
+        const net::HttpResponse i16 = net::surface_response(
+            c.tile, Rect{0, 0, 1, 1}, "golden", 1, net::WireEncoding::kI16);
+        EXPECT_EQ(fnv1a(i16.body()), c.i16);
+        ASSERT_GE(i16.extra_headers.size(), 2u);
+        EXPECT_EQ(i16.extra_headers[0], std::make_pair(std::string("X-RRS-Scale"),
+                                                        std::string(c.scale)));
+        EXPECT_EQ(i16.extra_headers[1], std::make_pair(std::string("X-RRS-Offset"),
+                                                        std::string(c.offset)));
+    }
 }
 
 // --- direct-DFT vs convolution variance across sizes -------------------------

@@ -30,6 +30,7 @@
 #include "net/http.hpp"
 #include "net/router.hpp"
 #include "net/server.hpp"
+#include "net/tile_routes.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "parallel/thread_pool.hpp"
@@ -388,6 +389,47 @@ TEST(RaceServiceMetrics, ExportDuringUpdateKeepsInvariants) {
     EXPECT_EQ(m.cache_hits + m.cache_misses, m.requests);
     EXPECT_EQ(m.generations + m.coalesced, m.cache_misses);
     EXPECT_EQ(m.latency.samples, m.requests);
+}
+
+// --- net: first requests for one tile racing to encode and store its body ----
+
+TEST(RaceNet, ConcurrentFirstRequestsServeIdenticalStoredBodies) {
+    // Every encoding's first requests race: each encodes, one body is kept
+    // on the cache entry, and every response carries the same bytes.  TSan
+    // watches the body slots against the readers.
+    constexpr int kThreads = 6;
+    TileService::Options opt;
+    opt.shape = TileShape{64, 64};
+    auto service = std::make_shared<TileService>(
+        [](const Rect& r) { return stamp_tile(r); }, /*fingerprint=*/0, opt, nullptr);
+    net::SceneServices scenes;
+    scenes.emplace("scene", service);
+    obs::MetricsRegistry registry;
+    const net::Router router = net::make_tile_router(std::move(scenes), &registry);
+
+    for (const char* q : {"f32", "i16", "f64"}) {
+        const net::HttpRequest req =
+            net::parse_request_head(std::string("GET /v1/tile?tx=2&ty=-1&q=") + q +
+                                    " HTTP/1.1\r\n");
+        std::latch start{kThreads};
+        std::vector<net::HttpResponse> responses(kThreads);
+        std::vector<std::thread> threads;
+        for (int t = 0; t < kThreads; ++t) {
+            threads.emplace_back([&, t] {
+                start.arrive_and_wait();
+                responses[static_cast<std::size_t>(t)] = router.dispatch(req);
+            });
+        }
+        for (std::thread& th : threads) {
+            th.join();
+        }
+        const net::HttpResponse again = router.dispatch(req);
+        for (const net::HttpResponse& resp : responses) {
+            ASSERT_EQ(resp.status, 200) << q;
+            EXPECT_EQ(resp.body(), again.body()) << q;
+            EXPECT_EQ(resp.extra_headers, again.extra_headers) << q;
+        }
+    }
 }
 
 // --- net: concurrent clients racing the graceful drain ------------------------

@@ -19,6 +19,10 @@
 #include "core/error.hpp"
 #include "fault/inject.hpp"
 #include "grid/array2d.hpp"
+#include "net/http.hpp"
+#include "net/router.hpp"
+#include "net/tile_routes.hpp"
+#include "obs/metrics.hpp"
 #include "service/tile_service.hpp"
 #include "store/byte_budget.hpp"
 #include "store/tile_store.hpp"
@@ -493,6 +497,46 @@ TEST(TileServiceStore, DifferentFingerprintDoesNotReuseStoredTiles) {
     EXPECT_EQ(b.metrics().l2_promotions, 0u);
     EXPECT_EQ(b.metrics().generations, 1u);
     EXPECT_EQ(shared->stats().tiles, 2u);
+}
+
+TEST(TileServiceStore, RecordOfAnotherTileSizeIsAMissNotServed) {
+    // An address names the fingerprint and key, not the tile size, so a
+    // server restarted on the same store with a smaller tile size finds
+    // records of the old size.  They are misses, regenerated at the new
+    // size and never served, and a pyramid over them writes its body in
+    // bounds (the sanitize preset watches the writes).
+    ScratchDir scratch;
+    const TileKey top{0, 0, 1};
+    {
+        TileService::Options opt;
+        opt.shape = TileShape{32, 32};
+        opt.store = std::make_shared<store::TileStore>(scratch.segment());
+        TileService big(coord_tile, /*fingerprint=*/9, opt, nullptr);
+        EXPECT_EQ(big.pyramid(top, 0).size(), 5u);
+    }
+    TileService::Options opt;
+    opt.shape = TileShape{16, 16};
+    opt.store = std::make_shared<store::TileStore>(scratch.segment());
+    auto service = std::make_shared<TileService>(coord_tile, /*fingerprint=*/9, opt, nullptr);
+    EXPECT_EQ(service->peek(TileKey{0, 0}), nullptr);
+    net::SceneServices scenes;
+    scenes.emplace("scene", service);
+    obs::MetricsRegistry registry;
+    const net::Router router = net::make_tile_router(std::move(scenes), &registry);
+    for (const std::string q : {"f32", "f64"}) {
+        const net::HttpResponse resp = router.dispatch(net::parse_request_head(
+            "GET /v1/pyramid?tx=0&ty=0&z=1&q=" + q + " HTTP/1.1\r\n"));
+        ASSERT_EQ(resp.status, 200) << resp.body();
+        std::string expect;
+        for (const auto& [key, tile] : service->pyramid(top, 0)) {
+            ASSERT_EQ(tile->nx(), 16u);
+            ASSERT_EQ(tile->ny(), 16u);
+            expect += q == "f32" ? net::encode_tile_f32(*tile) : net::encode_tile_f64(*tile);
+        }
+        EXPECT_EQ(resp.body(), expect) << q;
+    }
+    EXPECT_EQ(service->metrics().l2_promotions, 0u);
+    EXPECT_EQ(service->metrics().generations, 5u);
 }
 
 TEST(TileServiceStore, StoreWriteFailureNeverFailsTheRequest) {

@@ -305,6 +305,60 @@ TEST(TileCacheDirect, OversizedTileIsServedButNotRetained) {
     EXPECT_EQ(cache.stats().bytes, 0u);
 }
 
+TEST(TileCacheDirect, AttachedBodiesShareTheTilesBudgetAndFate) {
+    TileCache cache(4096, 1);
+    auto body = [](std::size_t bytes, char fill) {
+        return std::make_shared<const EncodedBody>(EncodedBody{std::string(bytes, fill), {}});
+    };
+    const TileAddress a{1, {0, 0}};
+    const TileAddress b{1, {1, 0}};
+    cache.insert(a, std::make_shared<const Array2D<double>>(16, 8, 1.0));  // 1 KiB
+    const EncodedBodyPtr first = body(512, 'x');
+    cache.attach_body(a, 0, first);
+    EXPECT_EQ(cache.stats().bytes, 1536u);
+    cache.attach_body(a, 0, body(512, 'y'));  // the slot keeps its first body
+    EXPECT_EQ(cache.find_body(a, 0), first);
+    EXPECT_EQ(cache.stats().bytes, 1536u);
+    cache.attach_body(a, 1, body(2048, 'z'));
+    EXPECT_EQ(cache.stats().bytes, 3584u);
+    EXPECT_EQ(cache.stats().tiles, 1u);
+    cache.attach_body(b, 0, body(512, 'w'));  // no tile at b: dropped
+    EXPECT_EQ(cache.find_body(b, 0), nullptr);
+    EXPECT_EQ(cache.stats().bytes, 3584u);
+
+    // b's tile overflows the budget: bodies go before tiles, so a keeps its
+    // tile and loses both bodies, and a body still held outlives them.
+    cache.insert(b, std::make_shared<const Array2D<double>>(16, 8, 1.0));
+    EXPECT_EQ(cache.find_body(a, 0), nullptr);
+    EXPECT_EQ(cache.find_body(a, 1), nullptr);
+    EXPECT_EQ(cache.stats().bytes, 2048u);
+    EXPECT_EQ(cache.stats().tiles, 2u);
+    EXPECT_EQ(cache.stats().evictions, 0u);
+    EXPECT_EQ(first->bytes, std::string(512, 'x'));
+
+    // A body is kept only in spare room, never by evicting a tile: with a
+    // and b resident, 2 KiB of the 4 KiB are left.
+    cache.attach_body(b, 0, body(2560, 'v'));
+    EXPECT_EQ(cache.find_body(b, 0), nullptr);
+    cache.attach_body(b, 0, body(2048, 'u'));
+    EXPECT_NE(cache.find_body(b, 0), nullptr);
+    EXPECT_EQ(cache.stats().bytes, 4096u);
+
+    // Two more tiles: the first needs only b's body dropped; the second,
+    // with no bodies left, evicts a, the coldest tile.
+    const TileAddress c{1, {2, 0}};
+    const TileAddress d{1, {3, 0}};
+    cache.insert(c, std::make_shared<const Array2D<double>>(16, 8, 1.0));
+    EXPECT_EQ(cache.find_body(b, 0), nullptr);
+    EXPECT_EQ(cache.stats().bytes, 3072u);
+    EXPECT_EQ(cache.stats().evictions, 0u);
+    cache.insert(d, std::make_shared<const Array2D<double>>(16, 8, 1.0));
+    cache.insert(TileAddress{1, {4, 0}}, std::make_shared<const Array2D<double>>(16, 8, 1.0));
+    EXPECT_EQ(cache.find(a), nullptr);
+    EXPECT_EQ(cache.stats().bytes, 4096u);
+    EXPECT_EQ(cache.stats().evictions, 1u);
+}
+
 TEST(TileCacheDirect, FingerprintsKeepGeneratorsApart) {
     TileCache cache(1u << 20, 4);
     const TileKey key{3, -2};

@@ -532,7 +532,7 @@ EOF
 # `--cluster-prev` naming A as the previous epoch's only node, so every key
 # is A-owned.  B's bodies must be byte-identical to A's, and B's /metrics
 # must show every tile peer-filled, through the one previous-epoch client
-# both scenes share (one cluster.node.A.requests counter).
+# both scenes share (one cluster.prev.node.A.requests counter).
 cluster_reshard_smoke() {
     echo "==> [cluster] reshard peer-fill smoke"
     local work a_pid b_pid a_port b_port
@@ -588,9 +588,12 @@ import json, sys
 c = json.load(open(sys.argv[1]))["counters"]
 want = int(sys.argv[2])
 fills = c.get("cluster.peer_fills", 0)
-requests = c.get("cluster.node.A.requests", 0)
+requests = c.get("cluster.prev.node.A.requests", 0)
 assert fills == want, f"cluster.peer_fills == {fills}, want {want}"
-assert requests == fills, f"cluster.node.A.requests == {requests} != {fills} fills"
+assert requests == fills, f"cluster.prev.node.A.requests == {requests} != {fills} fills"
+gauges = json.load(open(sys.argv[1]))["gauges"]
+assert gauges.get("cluster.prev.nodes") == 1, "previous fleet not under cluster.prev."
+assert "cluster.nodes" not in gauges, "a shard publishes cluster.nodes"
 for k in ("cluster.peer_fill_misses", "cluster.peer_fill_errors"):
     assert c.get(k, 0) == 0, f"{k} == {c[k]}"
 print(f"    reshard ok: {fills} tiles of 2 scenes peer-filled from A, "
@@ -738,6 +741,26 @@ rrsd_smoke() {
     port=$(cat "$port_file")
     "$dir/tools/rrsquery" "127.0.0.1:$port" /healthz > /dev/null
     "$dir/tools/rrsquery" "127.0.0.1:$port" '/v1/tile?tx=0&ty=0' --stats
+    # Stored bytes (DESIGN.md §8, §12): the first request of an encoding
+    # encodes it, the second is served from the tile's cache entry; both
+    # must carry the same body, ETag and i16 scale/offset.
+    local q rep
+    for q in f32 i16 f64; do
+        for rep in 1 2; do
+            "$dir/tools/rrsquery" "127.0.0.1:$port" "/v1/tile?tx=1&ty=-1&q=$q" \
+                --headers --out "$out.$q.$rep.body" 2> "$out.$q.$rep.hdr" > /dev/null
+            grep -i -E '^(etag|x-rrs-scale|x-rrs-offset):' "$out.$q.$rep.hdr" |
+                tr -d '\r' > "$out.$q.$rep.ids"
+        done
+        if ! cmp -s "$out.$q.1.body" "$out.$q.2.body" ||
+            ! cmp -s "$out.$q.1.ids" "$out.$q.2.ids" ||
+            ! grep -q -i '^etag:' "$out.$q.1.ids"; then
+            echo "==> rrsd smoke: q=$q differs between its encoded and stored answer" >&2
+            kill -9 "$pid" 2>/dev/null || true
+            return 1
+        fi
+    done
+    echo "    stored bodies ok: f32, i16 and f64 answers repeat byte for byte"
     "$dir/tools/rrsquery" "127.0.0.1:$port" /metrics > /dev/null
     kill -TERM "$pid"
     rc=0
@@ -746,19 +769,19 @@ rrsd_smoke() {
         echo "==> rrsd smoke: daemon exited $rc after SIGTERM" >&2
         return 1
     fi
-    # The drain prints one final metrics line; the three probes must be in it.
+    # The drain prints one final metrics line; the nine requests must be in it.
     python3 - "$out" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
 c = doc["counters"]
 requests = c["net.requests"]
-assert requests >= 3, f"net.requests == {requests}, expected >= 3"
+assert requests >= 9, f"net.requests == {requests}, expected >= 9"
 identity = c["net.status_2xx"] + c["net.status_4xx"] + c["net.status_5xx"] + c["net.shed"]
 assert requests == identity, f"{requests} != 2xx+4xx+5xx+shed == {identity}"
 assert doc["gauges"]["net.active"] == 0, "connections survived the drain"
 print(f"    rrsd ok: {requests} requests, accounting identity holds")
 EOF
-    rm -f "$scene" "$port_file" "$out"
+    rm -f "$scene" "$port_file" "$out" "$out".*
 }
 
 want=${1:-all}

@@ -370,7 +370,7 @@ int main(int argc, char** argv) {
                 popt.breaker_open_ms = 2000;
                 popt.fanout_threads = 1;
                 previous = std::make_shared<cluster::ClusterClient>(
-                    cluster::load_topology(cluster_prev_file), popt);
+                    cluster::load_topology(cluster_prev_file), popt, "cluster.prev.");
                 if (!quiet) {
                     std::cerr << "rrsd: peer cache-fill armed (node '"
                               << cluster_node << "', previous epoch "

@@ -141,7 +141,7 @@ int print_surface_stats(const rrs::net::ClientResponse& resp) {
 rrs::net::ClientResponse synthesize(rrs::net::HttpResponse resp) {
     rrs::net::ClientResponse out;
     out.status = resp.status;
-    out.body = std::move(resp.body);
+    out.body = std::string(resp.body());
     out.headers.emplace_back("content-type", std::move(resp.content_type));
     for (auto& [name, value] : resp.extra_headers) {
         out.headers.emplace_back(lower(std::move(name)), std::move(value));
